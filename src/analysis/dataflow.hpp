@@ -4,20 +4,21 @@
 // program lives here, factored so each analysis is independently testable:
 //
 //   op_effects()        — per-opcode metadata: which operand slots are read,
-//                         whether dst is written, purity, state access.  The
-//                         one subtle entry is kDigest, which READS a, b, c
-//                         AND dst (the payload) and writes nothing;
+//                         whether dst is written, purity, state access.
+//                         Defined with the ALU in p4sim/alu.hpp and shared
+//                         with every p4sim tier; the one subtle entry is
+//                         kDigest, which READS a, b, c AND dst (the
+//                         payload) and writes nothing;
 //   collect_facts()     — per-program summaries (written / upward-exposed
 //                         temp sets, register and field access sets) used by
 //                         liveness seeding, stage packing, and the pipeline
 //                         temp-sharing analysis in pass_manager.cpp;
 //   liveness_after()    — backward temp liveness, the basis of dead-code
 //                         elimination;
-//   fold_instruction()  — compile-time evaluation mirroring execute()
-//                         bit-exactly (wrapping uint64 arithmetic, shift
-//                         amounts masked & 63, 0/1 comparisons, the real
-//                         hash externs), so constant folding can never
-//                         diverge from the interpreter.
+//   fold_instruction()  — compile-time evaluation through p4sim::alu::eval,
+//                         the op definitions execute() itself expands, so
+//                         constant folding can never diverge from the
+//                         interpreter.
 //
 // Temps persist across pipeline stages within one packet (stages share the
 // ExecutionContext), so per-program results are only safe to act on
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "p4sim/action.hpp"
+#include "p4sim/alu.hpp"
 #include "p4sim/parser.hpp"
 
 namespace analysis {
@@ -38,27 +40,9 @@ namespace analysis {
 /// Set of scratch temps (PHV containers).
 using TempSet = std::bitset<p4sim::kTempCount>;
 
-/// Static effects of one opcode.  `pure` means the result is a function of
-/// the read temps and the immediate only — no packet, register, or digest
-/// state involved — so the instruction is removable when dead and foldable
-/// when its inputs are known.  kParam is NOT pure (it reads action data)
-/// but is still CSE-able within one execution; the passes special-case it.
-struct OpEffects {
-  bool writes_dst = false;
-  bool reads_a = false;
-  bool reads_b = false;
-  bool reads_c = false;
-  bool reads_dst = false;  ///< kDigest only: dst is a payload *source*
-  bool pure = false;
-  bool reads_field = false;
-  bool writes_field = false;
-  bool reads_reg = false;
-  bool writes_reg = false;
-  /// Emits into the digest stream — never removable, never mergeable.
-  bool digest = false;
-};
-
-[[nodiscard]] const OpEffects& op_effects(p4sim::Op op) noexcept;
+/// Static effects of one opcode (see p4sim/alu.hpp).
+using p4sim::OpEffects;
+using p4sim::op_effects;
 
 /// True when the instruction has an observable effect beyond writing its
 /// dst temp (field/register store, digest emission).
@@ -93,10 +77,10 @@ struct ProgramFacts {
 [[nodiscard]] std::vector<TempSet> liveness_after(
     const p4sim::Program& program, const TempSet& live_out);
 
-/// Evaluates a pure instruction whose temp operands hold the given values,
-/// mirroring execute() exactly (wrapping arithmetic, `& 63` shift masking,
-/// 0/1 comparisons, the stat4 hash externs).  Returns nullopt for opcodes
-/// whose result depends on runtime state (loads, params, stores, digest).
+/// Evaluates a pure instruction whose temp operands hold the given values
+/// with the ALU definitions execute() uses (p4sim/alu.hpp).  Returns
+/// nullopt for opcodes whose result depends on runtime state (loads,
+/// params, stores, digest).
 [[nodiscard]] std::optional<p4sim::Word> fold_instruction(
     const p4sim::Instruction& ins, p4sim::Word a, p4sim::Word b,
     p4sim::Word c);

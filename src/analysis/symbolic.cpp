@@ -8,10 +8,12 @@
 #include <utility>
 
 #include "analysis/dataflow.hpp"
+#include "p4sim/alu.hpp"
 #include "stat4/sparse_freq.hpp"
 
 namespace analysis::sym {
 
+namespace alu = p4sim::alu;
 using p4sim::FieldInfo;
 using p4sim::FieldRef;
 using p4sim::Instruction;
@@ -659,40 +661,42 @@ Word evaluate(const Dag& dag, NodeId id, const Valuation& val,
     case Kind::kLinear: {
       out = n.imm;
       for (std::size_t i = 0; i < n.ops.size(); ++i) {
-        out += n.coeffs[i] * ev(n.ops[i]);
+        out = alu::add(out, alu::mul(n.coeffs[i], ev(n.ops[i])));
       }
       break;
     }
     case Kind::kMul: {
       out = 1;
-      for (const NodeId t : n.ops) out *= ev(t);
+      for (const NodeId t : n.ops) out = alu::mul(out, ev(t));
       break;
     }
     case Kind::kAnd: {
       out = n.imm;
-      for (const NodeId t : n.ops) out &= ev(t);
+      for (const NodeId t : n.ops) out = alu::band(out, ev(t));
       break;
     }
     case Kind::kOr: {
       out = n.imm;
-      for (const NodeId t : n.ops) out |= ev(t);
+      for (const NodeId t : n.ops) out = alu::bor(out, ev(t));
       break;
     }
     case Kind::kXor: {
       out = n.imm;
-      for (const NodeId t : n.ops) out ^= ev(t);
+      for (const NodeId t : n.ops) out = alu::bxor(out, ev(t));
       break;
     }
-    case Kind::kShl: out = ev(n.ops[0]) << (ev(n.ops[1]) & 63); break;
-    case Kind::kShr: out = ev(n.ops[0]) >> (ev(n.ops[1]) & 63); break;
-    case Kind::kEq: out = ev(n.ops[0]) == ev(n.ops[1]) ? 1 : 0; break;
-    case Kind::kLt: out = ev(n.ops[0]) < ev(n.ops[1]) ? 1 : 0; break;
-    case Kind::kLe: out = ev(n.ops[0]) <= ev(n.ops[1]) ? 1 : 0; break;
+    case Kind::kShl: out = alu::shl(ev(n.ops[0]), ev(n.ops[1])); break;
+    case Kind::kShr: out = alu::shr(ev(n.ops[0]), ev(n.ops[1])); break;
+    case Kind::kEq: out = alu::eq(ev(n.ops[0]), ev(n.ops[1])); break;
+    case Kind::kLt: out = alu::lt(ev(n.ops[0]), ev(n.ops[1])); break;
+    case Kind::kLe: out = alu::le(ev(n.ops[0]), ev(n.ops[1])); break;
     case Kind::kIte:
+      // Not alu::select: only the taken branch may be evaluated, so only
+      // its variables are recorded as used.
       out = ev(n.ops[0]) != 0 ? ev(n.ops[1]) : ev(n.ops[2]);
       break;
-    case Kind::kHash1: out = stat4::sparse_hash1(ev(n.ops[0])); break;
-    case Kind::kHash2: out = stat4::sparse_hash2(ev(n.ops[0])); break;
+    case Kind::kHash1: out = alu::hash1(ev(n.ops[0])); break;
+    case Kind::kHash2: out = alu::hash2(ev(n.ops[0])); break;
     case Kind::kRegInit: out = val.reg_value(n.aux, ev(n.ops[0]), n.imm); break;
   }
   cache[id] = out;
@@ -770,13 +774,6 @@ void sym_execute_onto(const Program& program, Dag& dag, const SymEnv& env,
                       SymState& st) {
   std::vector<NodeId>& t = st.temps;
   for (const Instruction& ins : program.code) {
-    bool writes_temp = true;
-    switch (ins.op) {
-      case Op::kStoreField:
-      case Op::kStoreReg:
-      case Op::kDigest: writes_temp = false; break;
-      default: break;
-    }
     switch (ins.op) {
       case Op::kConst: t[ins.dst] = dag.constant(ins.imm); break;
       case Op::kParam:
@@ -857,8 +854,9 @@ void sym_execute_onto(const Program& program, Dag& dag, const SymEnv& env,
         break;
     }
     if (env.dst_bits != nullptr) {
-      env.dst_bits->push_back(writes_temp ? dag.node(t[ins.dst]).bits
-                                          : kAllOnes);
+      env.dst_bits->push_back(p4sim::op_effects(ins.op).writes_dst
+                                  ? dag.node(t[ins.dst]).bits
+                                  : kAllOnes);
     }
   }
 }

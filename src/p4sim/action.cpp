@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
+#include "p4sim/alu.hpp"
 #include "stat4/approx_math.hpp"
-#include "stat4/sparse_freq.hpp"
 
 namespace p4sim {
 
@@ -31,29 +31,24 @@ void execute(const Program& program, ExecutionContext& ctx) {
   auto& t = ctx.temps;
   for (const auto& ins : program.code) {
     switch (ins.op) {
+#define STAT4_EXEC_1(N, fn, expr) \
+  case Op::k##N: t[ins.dst] = alu::fn(t[ins.a]); break;
+#define STAT4_EXEC_2(N, fn, expr) \
+  case Op::k##N: t[ins.dst] = alu::fn(t[ins.a], t[ins.b]); break;
+#define STAT4_EXEC_3(N, fn, expr) \
+  case Op::k##N: t[ins.dst] = alu::fn(t[ins.a], t[ins.b], t[ins.c]); break;
+      STAT4_ALU_UNARY(STAT4_EXEC_1)
+      STAT4_ALU_BINARY(STAT4_EXEC_2)
+      STAT4_ALU_TERNARY(STAT4_EXEC_3)
+#undef STAT4_EXEC_1
+#undef STAT4_EXEC_2
+#undef STAT4_EXEC_3
       case Op::kConst: t[ins.dst] = ins.imm; break;
       case Op::kParam:
         t[ins.dst] = ins.imm < ctx.action_data.size()
                          ? ctx.action_data[ins.imm]
                          : 0;
         break;
-      case Op::kMov: t[ins.dst] = t[ins.a]; break;
-      case Op::kAdd: t[ins.dst] = t[ins.a] + t[ins.b]; break;
-      case Op::kSub: t[ins.dst] = t[ins.a] - t[ins.b]; break;
-      case Op::kMul: t[ins.dst] = t[ins.a] * t[ins.b]; break;
-      case Op::kShl: t[ins.dst] = t[ins.a] << (t[ins.b] & 63); break;
-      case Op::kShr: t[ins.dst] = t[ins.a] >> (t[ins.b] & 63); break;
-      case Op::kAnd: t[ins.dst] = t[ins.a] & t[ins.b]; break;
-      case Op::kOr: t[ins.dst] = t[ins.a] | t[ins.b]; break;
-      case Op::kXor: t[ins.dst] = t[ins.a] ^ t[ins.b]; break;
-      case Op::kNot: t[ins.dst] = ~t[ins.a]; break;
-      case Op::kEq: t[ins.dst] = t[ins.a] == t[ins.b] ? 1 : 0; break;
-      case Op::kNe: t[ins.dst] = t[ins.a] != t[ins.b] ? 1 : 0; break;
-      case Op::kLt: t[ins.dst] = t[ins.a] < t[ins.b] ? 1 : 0; break;
-      case Op::kGt: t[ins.dst] = t[ins.a] > t[ins.b] ? 1 : 0; break;
-      case Op::kLe: t[ins.dst] = t[ins.a] <= t[ins.b] ? 1 : 0; break;
-      case Op::kGe: t[ins.dst] = t[ins.a] >= t[ins.b] ? 1 : 0; break;
-      case Op::kSelect: t[ins.dst] = t[ins.a] ? t[ins.b] : t[ins.c]; break;
       case Op::kLoadField: t[ins.dst] = ctx.view->get(ins.field); break;
       case Op::kStoreField: ctx.view->set(ins.field, t[ins.a]); break;
       case Op::kLoadReg:
@@ -62,8 +57,6 @@ void execute(const Program& program, ExecutionContext& ctx) {
       case Op::kStoreReg:
         ctx.registers->write(ins.reg, t[ins.a], t[ins.b]);
         break;
-      case Op::kHash1: t[ins.dst] = stat4::sparse_hash1(t[ins.a]); break;
-      case Op::kHash2: t[ins.dst] = stat4::sparse_hash2(t[ins.a]); break;
       case Op::kDigest:
         if (ctx.digests != nullptr && t[ins.c] != 0) {
           Digest d;
@@ -77,78 +70,14 @@ void execute(const Program& program, ExecutionContext& ctx) {
   }
 }
 
-void instruction_temps(const Instruction& ins, std::vector<TempId>& reads,
-                       std::vector<TempId>& writes) {
-  switch (ins.op) {
-    case Op::kConst:
-    case Op::kParam:
-    case Op::kLoadField:
-      writes.push_back(ins.dst);
-      break;
-    case Op::kMov:
-    case Op::kNot:
-    case Op::kHash1:
-    case Op::kHash2:
-      reads.push_back(ins.a);
-      writes.push_back(ins.dst);
-      break;
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kShl:
-    case Op::kShr:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kEq:
-    case Op::kNe:
-    case Op::kLt:
-    case Op::kGt:
-    case Op::kLe:
-    case Op::kGe:
-      reads.push_back(ins.a);
-      reads.push_back(ins.b);
-      writes.push_back(ins.dst);
-      break;
-    case Op::kSelect:
-      reads.push_back(ins.a);
-      reads.push_back(ins.b);
-      reads.push_back(ins.c);
-      writes.push_back(ins.dst);
-      break;
-    case Op::kStoreField:
-      reads.push_back(ins.a);
-      break;
-    case Op::kLoadReg:
-      reads.push_back(ins.a);
-      writes.push_back(ins.dst);
-      break;
-    case Op::kStoreReg:
-      reads.push_back(ins.a);
-      reads.push_back(ins.b);
-      break;
-    case Op::kDigest:
-      reads.push_back(ins.a);
-      reads.push_back(ins.b);
-      reads.push_back(ins.c);
-      reads.push_back(ins.dst);
-      break;
-  }
-}
-
 std::bitset<kTempCount> read_before_write(const Program& program) {
   std::bitset<kTempCount> rbw;
   std::bitset<kTempCount> written;
-  std::vector<TempId> reads;
-  std::vector<TempId> writes;
   for (const Instruction& ins : program.code) {
-    reads.clear();
-    writes.clear();
-    instruction_temps(ins, reads, writes);
-    for (const TempId id : reads) {
+    for_each_read(ins, [&](TempId id) {
       if (!written[id]) rbw[id] = true;
-    }
-    for (const TempId id : writes) written[id] = true;
+    });
+    if (op_effects(ins.op).writes_dst) written[ins.dst] = true;
   }
   return rbw;
 }

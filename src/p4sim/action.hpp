@@ -140,14 +140,6 @@ struct ExecutionContext {
 /// Runs the program to completion (no branches, no loops: O(|code|)).
 void execute(const Program& program, ExecutionContext& ctx);
 
-/// Temps `ins` reads / writes, appended to the vectors.  Mirrors execute()
-/// exactly — in particular kDigest READS dst (third payload word) and the
-/// store ops write no temp at all.  Shared by the scratch-zeroing analysis
-/// (switch.cpp) and the native-tier transpiler so their liveness views can
-/// never drift.
-void instruction_temps(const Instruction& ins, std::vector<TempId>& reads,
-                       std::vector<TempId>& writes);
-
 /// Temps `program` reads before writing — the only temps whose
 /// pre-execution value (the per-packet zero fill, or an earlier stage's
 /// write) can flow into the program.  Everything else is written first and

@@ -4,46 +4,11 @@
 #include <map>
 #include <set>
 
+#include "p4sim/alu.hpp"
+
 namespace p4sim {
 
 namespace {
-
-/// Which temps an instruction reads.
-std::vector<TempId> reads_of(const Instruction& ins) {
-  switch (ins.op) {
-    case Op::kConst:
-    case Op::kParam:
-    case Op::kLoadField:
-      return {};
-    case Op::kMov:
-    case Op::kNot:
-    case Op::kStoreField:
-    case Op::kHash1:
-    case Op::kHash2:
-      return {ins.a};
-    case Op::kLoadReg:
-      return {ins.a};
-    case Op::kStoreReg:
-      return {ins.a, ins.b};
-    case Op::kSelect:
-      return {ins.a, ins.b, ins.c};
-    case Op::kDigest:
-      return {ins.a, ins.b, ins.c, ins.dst};
-    default:
-      return {ins.a, ins.b};
-  }
-}
-
-bool writes_temp(const Instruction& ins) {
-  switch (ins.op) {
-    case Op::kStoreField:
-    case Op::kStoreReg:
-    case Op::kDigest:
-      return false;
-    default:
-      return true;
-  }
-}
 
 /// Which packet fields a program writes (for match dependencies).
 std::set<FieldRef> fields_written(const Program& p) {
@@ -78,10 +43,10 @@ ProgramAnalysis analyze_program(const Program& program) {
   for (std::size_t i = 0; i < program.code.size(); ++i) {
     const Instruction& ins = program.code[i];
     std::size_t d = 1;
-    for (const TempId r : reads_of(ins)) {
+    for_each_read(ins, [&](TempId r) {
       const auto it = temp_def_depth.find(r);
       if (it != temp_def_depth.end()) d = std::max(d, it->second + 1);
-    }
+    });
     if (ins.op == Op::kLoadReg || ins.op == Op::kStoreReg) {
       const auto it = reg_access_depth.find(ins.reg);
       if (it != reg_access_depth.end()) d = std::max(d, it->second + 1);
@@ -89,7 +54,7 @@ ProgramAnalysis analyze_program(const Program& program) {
       reg_access_depth[ins.reg] = d;
     }
     if (ins.op == Op::kMul) a.uses_mul = true;
-    if (writes_temp(ins)) temp_def_depth[ins.dst] = d;
+    if (op_effects(ins.op).writes_dst) temp_def_depth[ins.dst] = d;
     depth[i] = d;
     a.longest_chain = std::max(a.longest_chain, d);
   }

@@ -22,18 +22,11 @@
 namespace p4sim::jit {
 namespace {
 
-std::uint64_t fnv1a(const std::string& s) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const char ch : s) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 struct Cache {
   std::mutex mu;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const CompiledUnit>> units;
+  /// Keyed on the full compiler + '\0' + source text: distinct sources
+  /// can never share a unit.
+  std::unordered_map<std::string, std::shared_ptr<const CompiledUnit>> units;
 };
 
 Cache& cache() {
@@ -133,7 +126,7 @@ CompileOutcome compile_unit(const std::string& source) {
   // The compiler is part of the key: a unit built by a different compiler
   // (or a failure under a bogus STAT4_JIT_CC) must not alias the entry a
   // working toolchain produced.
-  const std::uint64_t key = fnv1a(host_compiler() + '\0' + source);
+  std::string key = host_compiler() + '\0' + source;
   Cache& c = cache();
   std::lock_guard<std::mutex> lock(c.mu);
   if (const auto it = c.units.find(key); it != c.units.end()) {
@@ -147,7 +140,7 @@ CompileOutcome compile_unit(const std::string& source) {
     STAT4_TELEMETRY_ONLY(telemetry::MetricsRegistry::global()
                              .counter("p4sim.jit.compiles")
                              .add();)
-    c.units.emplace(key, out.unit);
+    c.units.emplace(std::move(key), out.unit);
   }
   return out;
 }

@@ -1,7 +1,7 @@
 // Compile-and-load half of the native tier: takes a transpiled TU, shells
 // out to the host C++ compiler, dlopen's the shared object and resolves the
 // action table (jit/abi.hpp).  Compiled units are memoized process-wide on
-// a hash of (source text, compiler command): recompiling after a
+// the full (compiler command, source text) pair: recompiling after a
 // config_gen_ bump that produced identical source — e.g. an idempotent
 // optimizer re-run — is a cache hit, and N switches running the same
 // catalog app share one unit.

@@ -3,7 +3,8 @@
 #include <array>
 #include <cstddef>
 #include <string>
-#include <vector>
+
+#include "p4sim/alu.hpp"
 
 namespace p4sim::jit {
 namespace {
@@ -13,6 +14,23 @@ std::optional<Op> g_unsupported_op;  // test hook; see header
 std::string u64_lit(Word v) { return std::to_string(v) + "ull"; }
 
 std::string temp_name(TempId id) { return "t" + std::to_string(id); }
+
+// The ALU prelude: one static inline function per pure op whose body is
+// that op's expression from p4sim/alu.hpp, stringized — the generated unit
+// evaluates exactly what the interpreter does.
+#define STAT4_JIT_FN_1(N, fn, expr) \
+  "static inline u64 alu_" #fn "(u64 a) { return " #expr "; }\n"
+#define STAT4_JIT_FN_2(N, fn, expr) \
+  "static inline u64 alu_" #fn "(u64 a, u64 b) { return " #expr "; }\n"
+#define STAT4_JIT_FN_3(N, fn, expr)                               \
+  "static inline u64 alu_" #fn "(u64 a, u64 b, u64 c) { return " #expr \
+  "; }\n"
+constexpr const char* kAluPrelude =
+    STAT4_ALU_UNARY(STAT4_JIT_FN_1) STAT4_ALU_BINARY(STAT4_JIT_FN_2)
+        STAT4_ALU_TERNARY(STAT4_JIT_FN_3);
+#undef STAT4_JIT_FN_1
+#undef STAT4_JIT_FN_2
+#undef STAT4_JIT_FN_3
 
 /// One statement per instruction; operands are the tN locals.
 std::string emit_instruction(const Instruction& ins,
@@ -26,27 +44,23 @@ std::string emit_instruction(const Instruction& ins,
   };
   const auto reg = [&] { return std::to_string(ins.reg); };
   switch (ins.op) {
+#define STAT4_JIT_CALL_1(N, fn, expr) \
+  case Op::k##N: return d + " = alu_" #fn "(" + a + ");";
+#define STAT4_JIT_CALL_2(N, fn, expr) \
+  case Op::k##N: return d + " = alu_" #fn "(" + a + ", " + b + ");";
+#define STAT4_JIT_CALL_3(N, fn, expr) \
+  case Op::k##N:                      \
+    return d + " = alu_" #fn "(" + a + ", " + b + ", " + c + ");";
+    STAT4_ALU_UNARY(STAT4_JIT_CALL_1)
+    STAT4_ALU_BINARY(STAT4_JIT_CALL_2)
+    STAT4_ALU_TERNARY(STAT4_JIT_CALL_3)
+#undef STAT4_JIT_CALL_1
+#undef STAT4_JIT_CALL_2
+#undef STAT4_JIT_CALL_3
     case Op::kConst: return d + " = " + u64_lit(ins.imm) + ";";
     case Op::kParam:
       return d + " = (" + u64_lit(ins.imm) + " < c->action_data_len) ? " +
              "c->action_data[" + std::to_string(ins.imm) + "] : 0ull;";
-    case Op::kMov: return d + " = " + a + ";";
-    case Op::kAdd: return d + " = " + a + " + " + b + ";";
-    case Op::kSub: return d + " = " + a + " - " + b + ";";
-    case Op::kMul: return d + " = " + a + " * " + b + ";";
-    case Op::kShl: return d + " = " + a + " << (" + b + " & 63u);";
-    case Op::kShr: return d + " = " + a + " >> (" + b + " & 63u);";
-    case Op::kAnd: return d + " = " + a + " & " + b + ";";
-    case Op::kOr: return d + " = " + a + " | " + b + ";";
-    case Op::kXor: return d + " = " + a + " ^ " + b + ";";
-    case Op::kNot: return d + " = ~" + a + ";";
-    case Op::kEq: return d + " = (" + a + " == " + b + ") ? 1ull : 0ull;";
-    case Op::kNe: return d + " = (" + a + " != " + b + ") ? 1ull : 0ull;";
-    case Op::kLt: return d + " = (" + a + " < " + b + ") ? 1ull : 0ull;";
-    case Op::kGt: return d + " = (" + a + " > " + b + ") ? 1ull : 0ull;";
-    case Op::kLe: return d + " = (" + a + " <= " + b + ") ? 1ull : 0ull;";
-    case Op::kGe: return d + " = (" + a + " >= " + b + ") ? 1ull : 0ull;";
-    case Op::kSelect: return d + " = " + a + " ? " + b + " : " + c + ";";
     case Op::kLoadField:
       return d + " = c->load_field(c->view, " + field_id() + ");";
     case Op::kStoreField:
@@ -67,8 +81,6 @@ std::string emit_instruction(const Instruction& ins,
              ") c->regs[" + reg() + "].base[i] = " + b + " & " +
              u64_lit(mask) + "; }";
     }
-    case Op::kHash1: return d + " = stat4_jit_hash1(" + a + ");";
-    case Op::kHash2: return d + " = stat4_jit_hash2(" + a + ");";
     case Op::kDigest:
       return "if (" + c + " != 0ull) c->emit_digest(c->digest_sink, " +
              std::to_string(static_cast<std::uint32_t>(ins.imm)) + "u, " + a +
@@ -96,14 +108,9 @@ void emit_action(std::string& out, std::size_t index, const Program& program,
   const std::bitset<kTempCount> rbw = read_before_write(program);
   std::array<bool, kTempCount> used{};
   std::array<bool, kTempCount> written{};
-  std::vector<TempId> reads;
-  std::vector<TempId> writes;
   for (const Instruction& ins : program.code) {
-    reads.clear();
-    writes.clear();
-    instruction_temps(ins, reads, writes);
-    for (const TempId id : reads) used[id] = true;
-    for (const TempId id : writes) used[id] = written[id] = true;
+    for_each_read(ins, [&used](TempId id) { used[id] = true; });
+    if (op_effects(ins.op).writes_dst) used[ins.dst] = written[ins.dst] = true;
   }
   for (std::size_t id = 0; id < kTempCount; ++id) {
     if (!used[id]) continue;
@@ -178,21 +185,27 @@ TranspileResult transpile(std::span<const Program> actions,
   out += "  void (*emit_digest)(void* sink, u32 id, u64 w0, u64 w1, u64 "
          "w2);\n";
   out += "};\n\n";
-  out += "static inline u64 stat4_jit_hash1(u64 key) {\n";
-  out += "  // stat4::sparse_hash1, SplitMix64 finalizer (bit-identical).\n";
+  // The hash externs the ALU prelude forwards to, bit-identical to
+  // stat4::sparse_hash1/2 (the unit includes nothing).
+  out += "namespace stat4 {\n";
+  out += "static inline u64 sparse_hash1(u64 key) {\n";
+  out += "  // SplitMix64 finalizer.\n";
   out += "  u64 z = key + 0x9E3779B97F4A7C15ull;\n";
   out += "  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;\n";
   out += "  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;\n";
   out += "  return z ^ (z >> 31);\n";
-  out += "}\n\n";
-  out += "static inline u64 stat4_jit_hash2(u64 key) {\n";
-  out += "  // stat4::sparse_hash2, Murmur3 finalizer constants "
-         "(bit-identical).\n";
+  out += "}\n";
+  out += "static inline u64 sparse_hash2(u64 key) {\n";
+  out += "  // Murmur3 finalizer constants.\n";
   out += "  u64 z = key ^ 0xC2B2AE3D27D4EB4Full;\n";
   out += "  z = (z ^ (z >> 33)) * 0xFF51AFD7ED558CCDull;\n";
   out += "  z = (z ^ (z >> 33)) * 0xC4CEB9FE1A85EC53ull;\n";
   out += "  return z ^ (z >> 33);\n";
-  out += "}\n\n";
+  out += "}\n";
+  out += "}  // namespace stat4\n\n";
+  out += "// The ALU, generated from p4sim/alu.hpp.\n";
+  out += kAluPrelude;
+  out += "\n";
 
   // A written temp is observable iff SOME installed action reads it before
   // writing it — tables dispatch dynamically, so any action may follow any

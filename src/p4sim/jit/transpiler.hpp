@@ -6,13 +6,15 @@
 // and written back on exit, so cross-stage temp sharing through the scratch
 // PHV pool is preserved bit-exactly), register accesses compile to direct
 // base-pointer loads/stores with the bounds check and width mask folded to
-// literals, and the hash externs are inlined with the exact
-// stat4::sparse_hash1/2 constants.  Packet-field accesses and digest
-// emission stay host callbacks (jit/abi.hpp) so validity gating and Digest
-// layout can never drift from the interpreter.
+// literals, and every pure op is a call into a prelude of static inline
+// functions generated from the ALU op lists in p4sim/alu.hpp (the hash
+// externs they forward to carry the exact stat4::sparse_hash1/2
+// constants).  Packet-field accesses and digest emission stay host
+// callbacks (jit/abi.hpp) so validity gating and Digest layout can never
+// drift from the interpreter.
 //
 // The emission is deterministic — same programs + registers, same text —
-// which is what makes the engine's source-hash memoization and the golden
+// which is what makes the engine's source-keyed memoization and the golden
 // test (tests/p4gen_golden_test.cpp) work.  `stat4_opt --emit-cpp=FILE`
 // exposes it for offline inspection.
 #pragma once

@@ -167,7 +167,7 @@ void P4Switch::compile_pipeline() {
     if (stage.table) {
       cs.table = &tables_[*stage.table];
     } else if (stage.action) {
-      cs.program = &actions_[*stage.action];
+      cs.direct = true;
       cs.action = *stage.action;
     }
     compiled_.push_back(cs);
@@ -260,82 +260,9 @@ void P4Switch::run_pipeline_reference(PacketView& view, SwitchOutput& out,
   }
 }
 
-void P4Switch::run_pipeline_interp(PacketView& view, SwitchOutput& out,
-                                   stat4::TimeNs now) {
-  ExecutionContext& ctx = *scratch_;
-  std::fill_n(ctx.temps.data(), scratch_words_, Word{0});
-  ctx.view = &view;
-  ctx.registers = &registers_;
-  ctx.digests = &out.digests;
-  ctx.now = now;
-  bool inv[kMaxInvariantGuards];
-  for (std::size_t i = 0; i < invariant_guards_.size(); ++i) {
-    inv[i] = invariant_guards_[i].holds(view);
-  }
-  for (const CompiledStage& cs : compiled_) {
-    if (cs.guarded) {
-      const bool ok = cs.guard_slot >= 0
-                          ? inv[static_cast<std::size_t>(cs.guard_slot)]
-                          : cs.guard.holds(view);
-      if (!ok) continue;
-    }
-    if (cs.table != nullptr) {
-      if (stage_is_noop(*cs.table)) continue;
-      const MatchResult m = cs.table->lookup(view);
-      const Program& prog = actions_.at(m.action);
-      ctx.action_data = m.action_data;
-      execute(prog, ctx);
-    } else if (cs.program != nullptr) {
-      ctx.action_data = {};
-      execute(*cs.program, ctx);
-    }
-  }
-}
-
-void P4Switch::run_pipeline_threaded(PacketView& view, SwitchOutput& out,
-                                     stat4::TimeNs now) {
-  ExecutionContext& ctx = *scratch_;
-  std::fill_n(ctx.temps.data(), scratch_words_, Word{0});
-  ThreadedState st;
-  st.temps = ctx.temps.data();
-  st.view = &view;
-  st.registers = &registers_;
-  st.digests = &out.digests;
-  st.now = now;
-  bool inv[kMaxInvariantGuards];
-  for (std::size_t i = 0; i < invariant_guards_.size(); ++i) {
-    inv[i] = invariant_guards_[i].holds(view);
-  }
-  for (const CompiledStage& cs : compiled_) {
-    if (cs.guarded) {
-      const bool ok = cs.guard_slot >= 0
-                          ? inv[static_cast<std::size_t>(cs.guard_slot)]
-                          : cs.guard.holds(view);
-      if (!ok) continue;
-    }
-    if (cs.table != nullptr) {
-      if (stage_is_noop(*cs.table)) continue;
-      const MatchResult m = cs.table->lookup(view);
-      const ThreadedProgram& prog = threaded_actions_.at(m.action);
-      st.action_data = m.action_data.data();
-      st.action_data_len = m.action_data.size();
-      threaded_execute(prog, st);
-    } else if (cs.program != nullptr) {
-      st.action_data = nullptr;
-      st.action_data_len = 0;
-      threaded_execute(threaded_actions_[cs.action], st);
-    }
-  }
-}
-
-void P4Switch::run_pipeline_native(PacketView& view, SwitchOutput& out,
-                                   stat4::TimeNs now) {
+template <typename RunAction>
+void P4Switch::walk_pipeline(PacketView& view, RunAction&& run_action) {
   std::fill_n(scratch_->temps.data(), scratch_words_, Word{0});
-  JitDigestSink sink{&out.digests, now};
-  jit::Context& jc = jit_ctx_;
-  jc.view = &view;
-  jc.digest_sink = &sink;
-  const std::vector<jit::ActionFn>& fns = jit_unit_->actions();
   bool inv[kMaxInvariantGuards];
   for (std::size_t i = 0; i < invariant_guards_.size(); ++i) {
     inv[i] = invariant_guards_[i].holds(view);
@@ -350,13 +277,57 @@ void P4Switch::run_pipeline_native(PacketView& view, SwitchOutput& out,
     if (cs.table != nullptr) {
       if (stage_is_noop(*cs.table)) continue;
       const MatchResult m = cs.table->lookup(view);
-      jc.action_data = m.action_data.data();
-      jc.action_data_len = m.action_data.size();
-      fns.at(m.action)(&jc);
-    } else if (cs.program != nullptr) {
-      jc.action_data = nullptr;
-      jc.action_data_len = 0;
-      fns[cs.action](&jc);
+      if (m.action >= actions_.size()) {
+        throw std::out_of_range("p4sim: table hit names an unknown action");
+      }
+      run_action(m.action, m.action_data);
+    } else if (cs.direct) {
+      run_action(cs.action, std::span<const Word>{});
+    }
+  }
+}
+
+void P4Switch::run_pipeline_compiled(PacketView& view, SwitchOutput& out,
+                                     stat4::TimeNs now) {
+  switch (active_tier_) {
+    case ExecTier::kInterpreter: {
+      ExecutionContext& ctx = *scratch_;
+      ctx.view = &view;
+      ctx.registers = &registers_;
+      ctx.digests = &out.digests;
+      ctx.now = now;
+      walk_pipeline(view, [&](ActionId id, std::span<const Word> data) {
+        ctx.action_data = data;
+        execute(actions_[id], ctx);
+      });
+      break;
+    }
+    case ExecTier::kThreaded: {
+      ThreadedState st;
+      st.temps = scratch_->temps.data();
+      st.view = &view;
+      st.registers = &registers_;
+      st.digests = &out.digests;
+      st.now = now;
+      walk_pipeline(view, [&](ActionId id, std::span<const Word> data) {
+        st.action_data = data.data();
+        st.action_data_len = data.size();
+        threaded_execute(threaded_actions_[id], st);
+      });
+      break;
+    }
+    case ExecTier::kNative: {
+      JitDigestSink sink{&out.digests, now};
+      jit::Context& jc = jit_ctx_;
+      jc.view = &view;
+      jc.digest_sink = &sink;
+      const std::vector<jit::ActionFn>& fns = jit_unit_->actions();
+      walk_pipeline(view, [&](ActionId id, std::span<const Word> data) {
+        jc.action_data = data.data();
+        jc.action_data_len = data.size();
+        fns[id](&jc);
+      });
+      break;
     }
   }
 }
@@ -383,17 +354,7 @@ void P4Switch::process_into(Packet pkt, SwitchOutput& out) {
 
   if (fast_path_) {
     if (compiled_gen_ != config_gen_) compile_pipeline();
-    switch (active_tier_) {
-      case ExecTier::kInterpreter:
-        run_pipeline_interp(view, out, pkt.ingress_ts);
-        break;
-      case ExecTier::kThreaded:
-        run_pipeline_threaded(view, out, pkt.ingress_ts);
-        break;
-      case ExecTier::kNative:
-        run_pipeline_native(view, out, pkt.ingress_ts);
-        break;
-    }
+    run_pipeline_compiled(view, out, pkt.ingress_ts);
   } else {
     run_pipeline_reference(view, out, pkt.ingress_ts);
   }

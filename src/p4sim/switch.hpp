@@ -174,7 +174,7 @@ class P4Switch {
     /// -1 when the guard field is writable and must be re-evaluated.
     std::int8_t guard_slot = -1;
     MatchActionTable* table = nullptr;  ///< table stage when non-null
-    const Program* program = nullptr;   ///< direct-program stage otherwise
+    bool direct = false;  ///< direct-program stage otherwise
     ActionId action = 0;  ///< the direct-program stage's action id
   };
 
@@ -197,12 +197,15 @@ class P4Switch {
   void compile_pipeline();
   void run_pipeline_reference(PacketView& view, SwitchOutput& out,
                               stat4::TimeNs now);
-  void run_pipeline_interp(PacketView& view, SwitchOutput& out,
-                           stat4::TimeNs now);
-  void run_pipeline_threaded(PacketView& view, SwitchOutput& out,
+  /// The fast path: one stage walk (walk_pipeline) for every tier, with
+  /// the tier's "run this action" step chosen once per packet.
+  void run_pipeline_compiled(PacketView& view, SwitchOutput& out,
                              stat4::TimeNs now);
-  void run_pipeline_native(PacketView& view, SwitchOutput& out,
-                           stat4::TimeNs now);
+  /// Zeroes the scratch prefix, then walks the compiled stages (guards,
+  /// packet-invariant guard slots, no-op table elision, lookup) calling
+  /// run_action(action id, action data) for every stage that runs.
+  template <typename RunAction>
+  void walk_pipeline(PacketView& view, RunAction&& run_action);
 
   std::string name_;
   AluProfile profile_;
@@ -235,7 +238,7 @@ class P4Switch {
   std::shared_ptr<const jit::CompiledUnit> jit_unit_;
   /// Pre-filled native-tier ABI context: the compile-constant fields
   /// (temps/callbacks/register windows) are set once by compile_pipeline();
-  /// run_pipeline_native() only patches the per-packet view and sink.
+  /// run_pipeline_compiled() only patches the per-packet view and sink.
   jit::Context jit_ctx_;
 };
 

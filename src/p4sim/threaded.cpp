@@ -1,115 +1,92 @@
 #include "p4sim/threaded.hpp"
 
-#include <array>
+#include <cstdint>
 
-#include "stat4/sparse_freq.hpp"
+#include "p4sim/alu.hpp"
 
-// Computed-goto dispatch needs GNU labels-as-values; MSVC and friends run
-// the same op stream through the switch loop below.
-#if defined(__GNUC__) || defined(__clang__)
-#define STAT4_THREADED_COMPUTED_GOTO 1
-#else
-#define STAT4_THREADED_COMPUTED_GOTO 0
+// Dispatch takes the addresses of labels, a GNU extension GCC and Clang
+// both provide; there is no portable fallback loop.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "threaded.cpp needs labels-as-values (GCC or Clang)"
 #endif
 
 namespace p4sim {
 namespace {
 
-// Internal opcodes: 0..25 mirror Op exactly (threaded_compile casts the Op
-// straight through); the tail adds the forms the pre-decode optimizer
-// lowers to — dynamic-register dispatch (programs naming an undeclared
-// array keep the interpreter's out_of_range throw), immediate-operand ALU
-// variants (one side constant-folded into the op), constant-index register
-// accesses with the cell pointer fully pre-resolved, fused compare+select
-// pairs, and the stream terminator.
+// Operand slots a lowered op reads.
+enum : std::uint8_t {
+  kReadA = 1,
+  kReadB = 2,
+  kReadC = 4,
+  kReadE = 8,
+  kReadDst = 16,
+};
+
+// What a lowered op does besides reading: kPure ops only write dst (the
+// optimizer may drop them when dst is dead), kWrite ops write dst but must
+// stay (dynamic register reads can throw), kEffect ops write no temp.
+enum Kind : std::uint8_t { kPure, kWrite, kEffect };
+
+// Every internal opcode, in enum (= handler label table) order, as
+// F(Name, reads, kind).  Besides the Op forms this holds what the
+// pre-decode optimizer lowers to: per binary ALU op a right-immediate form
+// (t[dst] = t[a] <op> imm), rsub for a constant on the left of a
+// subtraction, constant-index register accesses with the cell pointer
+// pre-resolved (kOpLoadRegAt / kOpStoreRegAt), dynamic-register dispatch
+// for undeclared arrays (keeping the interpreter's out_of_range throw),
+// selects with one constant data operand, per comparison the fused
+// compare+select forms, and the stream terminator.  The fused forms with
+// two immediates carry the select's constant (imm2) in the reg_mask slot,
+// which ALU ops leave unused.
+#define STAT4_UNARY_FORMS(N, fn, expr) F(N, kReadA, kPure)
+#define STAT4_BINARY_FORMS(N, fn, expr) \
+  F(N, kReadA | kReadB, kPure)          \
+  F(N##Imm, kReadA, kPure)
+#define STAT4_TERNARY_FORMS(N, fn, expr)               \
+  F(N, kReadA | kReadB | kReadC, kPure)                \
+  F(N##ImmB, kReadA | kReadC, kPure) /* t[a] ? imm : t[c] */ \
+  F(N##ImmC, kReadA | kReadB, kPure) /* t[a] ? t[b] : imm */
+#define STAT4_FUSED_FORMS(N, fn, expr)                                   \
+  F(N##Sel, kReadA | kReadB | kReadC | kReadE, kPure)                  \
+  F(N##ImmSel, kReadA | kReadC | kReadE, kPure)                        \
+  F(N##ImmSelImmB, kReadA | kReadC, kPure) /* (t[a] cmp imm) ? imm2 : t[c] */ \
+  F(N##ImmSelImmC, kReadA | kReadB, kPure) /* (t[a] cmp imm) ? t[b] : imm2 */
+#define STAT4_THREADED_FORMS                       \
+  F(Const, 0, kPure)                               \
+  F(Param, 0, kPure)                               \
+  STAT4_ALU_UNARY(STAT4_UNARY_FORMS)               \
+  STAT4_ALU_BINARY(STAT4_BINARY_FORMS)             \
+  STAT4_ALU_TERNARY(STAT4_TERNARY_FORMS)           \
+  STAT4_ALU_COMPARE(STAT4_FUSED_FORMS)             \
+  F(RsubImm, kReadA, kPure)                        \
+  F(LoadField, 0, kPure)                           \
+  F(StoreField, kReadA, kEffect)                   \
+  F(LoadReg, kReadA, kPure)                        \
+  F(StoreReg, kReadA | kReadB, kEffect)            \
+  F(LoadRegAt, 0, kPure)                           \
+  F(StoreRegAt, kReadB, kEffect)                   \
+  F(LoadRegDyn, kReadA, kWrite)                    \
+  F(StoreRegDyn, kReadA | kReadB, kEffect)         \
+  F(Digest, kReadA | kReadB | kReadC | kReadDst, kEffect) \
+  F(End, 0, kEffect)
+
 enum InternalOp : std::uint8_t {
-  kOpConst,
-  kOpParam,
-  kOpMov,
-  kOpAdd,
-  kOpSub,
-  kOpMul,
-  kOpShl,
-  kOpShr,
-  kOpAnd,
-  kOpOr,
-  kOpXor,
-  kOpNot,
-  kOpEq,
-  kOpNe,
-  kOpLt,
-  kOpGt,
-  kOpLe,
-  kOpGe,
-  kOpSelect,
-  kOpLoadField,
-  kOpStoreField,
-  kOpLoadReg,
-  kOpStoreReg,
-  kOpHash1,
-  kOpHash2,
-  kOpDigest,
-  kOpLoadRegDyn,
-  kOpStoreRegDyn,
-  // t[dst] = t[a] <op> imm  (imm pre-masked for the shifts)
-  kOpAddImm,
-  kOpSubImm,
-  kOpRsubImm,  ///< t[dst] = imm - t[a]
-  kOpMulImm,
-  kOpShlImm,
-  kOpShrImm,
-  kOpAndImm,
-  kOpOrImm,
-  kOpXorImm,
-  kOpEqImm,
-  kOpNeImm,
-  kOpLtImm,
-  kOpGtImm,
-  kOpLeImm,
-  kOpGeImm,
-  // Constant in-bounds index: reg_base points at THE cell.
-  kOpLoadRegAt,   ///< t[dst] = *reg_base
-  kOpStoreRegAt,  ///< *reg_base = t[b] & reg_mask
-  // t[dst] = (t[a] <cmp> t[b]) ? t[c] : t[e]
-  kOpEqSel,
-  kOpNeSel,
-  kOpLtSel,
-  kOpGtSel,
-  kOpLeSel,
-  kOpGeSel,
-  // t[dst] = (t[a] <cmp> imm) ? t[c] : t[e]
-  kOpEqImmSel,
-  kOpNeImmSel,
-  kOpLtImmSel,
-  kOpGtImmSel,
-  kOpLeImmSel,
-  kOpGeImmSel,
-  // Select with one constant-folded data operand.
-  kOpSelImmB,  ///< t[dst] = t[a] ? imm : t[c]
-  kOpSelImmC,  ///< t[dst] = t[a] ? t[b] : imm
-  // Fused imm-compare + imm-select: the comparison constant lives in imm,
-  // the select's constant data operand in imm2 (the reg_mask slot — unused
-  // by ALU ops, so the struct stays one size).
-  kOpEqImmSelImmB,  ///< t[dst] = (t[a] == imm) ? imm2 : t[c]
-  kOpNeImmSelImmB,
-  kOpLtImmSelImmB,
-  kOpGtImmSelImmB,
-  kOpLeImmSelImmB,
-  kOpGeImmSelImmB,
-  kOpEqImmSelImmC,  ///< t[dst] = (t[a] == imm) ? t[b] : imm2
-  kOpNeImmSelImmC,
-  kOpLtImmSelImmC,
-  kOpGtImmSelImmC,
-  kOpLeImmSelImmC,
-  kOpGeImmSelImmC,
-  kOpEnd,
+#define F(N, reads, kind) kOp##N,
+  STAT4_THREADED_FORMS
+#undef F
 };
 inline constexpr std::size_t kHandlerCount = kOpEnd + 1;
 
-static_assert(static_cast<std::uint8_t>(Op::kConst) == kOpConst &&
-                  static_cast<std::uint8_t>(Op::kSelect) == kOpSelect &&
-                  static_cast<std::uint8_t>(Op::kDigest) == kOpDigest,
-              "InternalOp prefix must mirror Op ordinal for ordinal cast");
+struct FormIO {
+  std::uint8_t reads;
+  Kind kind;
+};
+
+constexpr FormIO kForms[kHandlerCount] = {
+#define F(N, reads, kind) {reads, kind},
+    STAT4_THREADED_FORMS
+#undef F
+};
 
 void emit_digest(ThreadedState* st, const ThreadedOp* op) {
   Digest d;
@@ -119,7 +96,6 @@ void emit_digest(ThreadedState* st, const ThreadedOp* op) {
   st->digests->push_back(d);
 }
 
-#if STAT4_THREADED_COMPUTED_GOTO
 // Taking the address of a label is a GNU extension; the repo builds with
 // -Wpedantic -Werror, so the extension is acknowledged explicitly here.
 #pragma GCC diagnostic push
@@ -128,718 +104,197 @@ void emit_digest(ThreadedState* st, const ThreadedOp* op) {
 #else
 #pragma GCC diagnostic ignored "-Wpedantic"
 #endif
-#endif
 
 /// Executes the op stream at `op` over `st`.  Called with st == nullptr it
 /// executes nothing and returns the handler-label table instead (only way
 /// to read function-local label addresses) — threaded_compile uses that to
 /// pre-resolve each op's handler.
 const void* const* threaded_core(const ThreadedOp* op, ThreadedState* st) {
-#if STAT4_THREADED_COMPUTED_GOTO
   static const void* const kLabels[kHandlerCount] = {
-      &&l_const,      &&l_param,      &&l_mov,         &&l_add,
-      &&l_sub,        &&l_mul,        &&l_shl,         &&l_shr,
-      &&l_and,        &&l_or,         &&l_xor,         &&l_not,
-      &&l_eq,         &&l_ne,         &&l_lt,          &&l_gt,
-      &&l_le,         &&l_ge,         &&l_select,      &&l_load_field,
-      &&l_store_field, &&l_load_reg,  &&l_store_reg,   &&l_hash1,
-      &&l_hash2,      &&l_digest,     &&l_load_reg_dyn, &&l_store_reg_dyn,
-      &&l_add_imm,    &&l_sub_imm,    &&l_rsub_imm,    &&l_mul_imm,
-      &&l_shl_imm,    &&l_shr_imm,    &&l_and_imm,     &&l_or_imm,
-      &&l_xor_imm,    &&l_eq_imm,     &&l_ne_imm,      &&l_lt_imm,
-      &&l_gt_imm,     &&l_le_imm,     &&l_ge_imm,      &&l_load_reg_at,
-      &&l_store_reg_at, &&l_eq_sel,   &&l_ne_sel,      &&l_lt_sel,
-      &&l_gt_sel,     &&l_le_sel,     &&l_ge_sel,      &&l_eq_imm_sel,
-      &&l_ne_imm_sel, &&l_lt_imm_sel, &&l_gt_imm_sel,  &&l_le_imm_sel,
-      &&l_ge_imm_sel, &&l_sel_imm_b,  &&l_sel_imm_c,
-      &&l_eq_imm_sel_imm_b, &&l_ne_imm_sel_imm_b, &&l_lt_imm_sel_imm_b,
-      &&l_gt_imm_sel_imm_b, &&l_le_imm_sel_imm_b, &&l_ge_imm_sel_imm_b,
-      &&l_eq_imm_sel_imm_c, &&l_ne_imm_sel_imm_c, &&l_lt_imm_sel_imm_c,
-      &&l_gt_imm_sel_imm_c, &&l_le_imm_sel_imm_c, &&l_ge_imm_sel_imm_c,
-      &&l_end};
+#define F(N, reads, kind) &&l_##N,
+      STAT4_THREADED_FORMS
+#undef F
+  };
   if (st == nullptr) return kLabels;
   Word* const t = st->temps;
 #define STAT4_THREADED_NEXT() goto* (++op)->handler
   goto* op->handler;
-l_const:
+
+  // Pure ALU handlers, instantiated from the op lists (alu.hpp).
+#define STAT4_UNARY_HANDLERS(N, fn, expr) \
+  l_##N:                                  \
+  t[op->dst] = alu::fn(t[op->a]);         \
+  STAT4_THREADED_NEXT();
+#define STAT4_BINARY_HANDLERS(N, fn, expr)   \
+  l_##N:                                     \
+  t[op->dst] = alu::fn(t[op->a], t[op->b]);  \
+  STAT4_THREADED_NEXT();                     \
+  l_##N##Imm:                                \
+  t[op->dst] = alu::fn(t[op->a], op->imm);   \
+  STAT4_THREADED_NEXT();
+#define STAT4_TERNARY_HANDLERS(N, fn, expr)           \
+  l_##N:                                              \
+  t[op->dst] = alu::fn(t[op->a], t[op->b], t[op->c]); \
+  STAT4_THREADED_NEXT();                              \
+  l_##N##ImmB:                                        \
+  t[op->dst] = alu::fn(t[op->a], op->imm, t[op->c]);  \
+  STAT4_THREADED_NEXT();                              \
+  l_##N##ImmC:                                        \
+  t[op->dst] = alu::fn(t[op->a], t[op->b], op->imm);  \
+  STAT4_THREADED_NEXT();
+#define STAT4_FUSED_HANDLERS(N, fn, expr)                                  \
+  l_##N##Sel:                                                              \
+  t[op->dst] =                                                             \
+      alu::select(alu::fn(t[op->a], t[op->b]), t[op->c], t[op->e]);        \
+  STAT4_THREADED_NEXT();                                                   \
+  l_##N##ImmSel:                                                           \
+  t[op->dst] = alu::select(alu::fn(t[op->a], op->imm), t[op->c], t[op->e]); \
+  STAT4_THREADED_NEXT();                                                   \
+  l_##N##ImmSelImmB:                                                       \
+  t[op->dst] =                                                             \
+      alu::select(alu::fn(t[op->a], op->imm), op->reg_mask, t[op->c]);     \
+  STAT4_THREADED_NEXT();                                                   \
+  l_##N##ImmSelImmC:                                                       \
+  t[op->dst] =                                                             \
+      alu::select(alu::fn(t[op->a], op->imm), t[op->b], op->reg_mask);     \
+  STAT4_THREADED_NEXT();
+  STAT4_ALU_UNARY(STAT4_UNARY_HANDLERS)
+  STAT4_ALU_BINARY(STAT4_BINARY_HANDLERS)
+  STAT4_ALU_TERNARY(STAT4_TERNARY_HANDLERS)
+  STAT4_ALU_COMPARE(STAT4_FUSED_HANDLERS)
+#undef STAT4_UNARY_HANDLERS
+#undef STAT4_BINARY_HANDLERS
+#undef STAT4_TERNARY_HANDLERS
+#undef STAT4_FUSED_HANDLERS
+
+l_Const:
   t[op->dst] = op->imm;
   STAT4_THREADED_NEXT();
-l_param:
+l_Param:
   t[op->dst] = op->imm < st->action_data_len ? st->action_data[op->imm] : 0;
   STAT4_THREADED_NEXT();
-l_mov:
-  t[op->dst] = t[op->a];
+l_RsubImm:
+  t[op->dst] = alu::sub(op->imm, t[op->a]);
   STAT4_THREADED_NEXT();
-l_add:
-  t[op->dst] = t[op->a] + t[op->b];
-  STAT4_THREADED_NEXT();
-l_sub:
-  t[op->dst] = t[op->a] - t[op->b];
-  STAT4_THREADED_NEXT();
-l_mul:
-  t[op->dst] = t[op->a] * t[op->b];
-  STAT4_THREADED_NEXT();
-l_shl:
-  t[op->dst] = t[op->a] << (t[op->b] & 63);
-  STAT4_THREADED_NEXT();
-l_shr:
-  t[op->dst] = t[op->a] >> (t[op->b] & 63);
-  STAT4_THREADED_NEXT();
-l_and:
-  t[op->dst] = t[op->a] & t[op->b];
-  STAT4_THREADED_NEXT();
-l_or:
-  t[op->dst] = t[op->a] | t[op->b];
-  STAT4_THREADED_NEXT();
-l_xor:
-  t[op->dst] = t[op->a] ^ t[op->b];
-  STAT4_THREADED_NEXT();
-l_not:
-  t[op->dst] = ~t[op->a];
-  STAT4_THREADED_NEXT();
-l_eq:
-  t[op->dst] = t[op->a] == t[op->b] ? 1 : 0;
-  STAT4_THREADED_NEXT();
-l_ne:
-  t[op->dst] = t[op->a] != t[op->b] ? 1 : 0;
-  STAT4_THREADED_NEXT();
-l_lt:
-  t[op->dst] = t[op->a] < t[op->b] ? 1 : 0;
-  STAT4_THREADED_NEXT();
-l_gt:
-  t[op->dst] = t[op->a] > t[op->b] ? 1 : 0;
-  STAT4_THREADED_NEXT();
-l_le:
-  t[op->dst] = t[op->a] <= t[op->b] ? 1 : 0;
-  STAT4_THREADED_NEXT();
-l_ge:
-  t[op->dst] = t[op->a] >= t[op->b] ? 1 : 0;
-  STAT4_THREADED_NEXT();
-l_select:
-  t[op->dst] = t[op->a] ? t[op->b] : t[op->c];
-  STAT4_THREADED_NEXT();
-l_load_field:
+l_LoadField:
   t[op->dst] = st->view->get(op->field);
   STAT4_THREADED_NEXT();
-l_store_field:
+l_StoreField:
   st->view->set(op->field, t[op->a]);
   STAT4_THREADED_NEXT();
-l_load_reg: {
+l_LoadReg: {
   const Word idx = t[op->a];
   t[op->dst] = idx < op->reg_size ? op->reg_base[idx] : 0;
 }
   STAT4_THREADED_NEXT();
-l_store_reg: {
+l_StoreReg: {
   const Word idx = t[op->a];
   if (idx < op->reg_size) op->reg_base[idx] = t[op->b] & op->reg_mask;
 }
   STAT4_THREADED_NEXT();
-l_hash1:
-  t[op->dst] = stat4::sparse_hash1(t[op->a]);
-  STAT4_THREADED_NEXT();
-l_hash2:
-  t[op->dst] = stat4::sparse_hash2(t[op->a]);
-  STAT4_THREADED_NEXT();
-l_digest:
-  if (st->digests != nullptr && t[op->c] != 0) emit_digest(st, op);
-  STAT4_THREADED_NEXT();
-l_load_reg_dyn:
-  t[op->dst] = st->registers->read(op->reg, t[op->a]);
-  STAT4_THREADED_NEXT();
-l_store_reg_dyn:
-  st->registers->write(op->reg, t[op->a], t[op->b]);
-  STAT4_THREADED_NEXT();
-l_add_imm:
-  t[op->dst] = t[op->a] + op->imm;
-  STAT4_THREADED_NEXT();
-l_sub_imm:
-  t[op->dst] = t[op->a] - op->imm;
-  STAT4_THREADED_NEXT();
-l_rsub_imm:
-  t[op->dst] = op->imm - t[op->a];
-  STAT4_THREADED_NEXT();
-l_mul_imm:
-  t[op->dst] = t[op->a] * op->imm;
-  STAT4_THREADED_NEXT();
-l_shl_imm:
-  t[op->dst] = t[op->a] << op->imm;
-  STAT4_THREADED_NEXT();
-l_shr_imm:
-  t[op->dst] = t[op->a] >> op->imm;
-  STAT4_THREADED_NEXT();
-l_and_imm:
-  t[op->dst] = t[op->a] & op->imm;
-  STAT4_THREADED_NEXT();
-l_or_imm:
-  t[op->dst] = t[op->a] | op->imm;
-  STAT4_THREADED_NEXT();
-l_xor_imm:
-  t[op->dst] = t[op->a] ^ op->imm;
-  STAT4_THREADED_NEXT();
-l_eq_imm:
-  t[op->dst] = t[op->a] == op->imm ? 1 : 0;
-  STAT4_THREADED_NEXT();
-l_ne_imm:
-  t[op->dst] = t[op->a] != op->imm ? 1 : 0;
-  STAT4_THREADED_NEXT();
-l_lt_imm:
-  t[op->dst] = t[op->a] < op->imm ? 1 : 0;
-  STAT4_THREADED_NEXT();
-l_gt_imm:
-  t[op->dst] = t[op->a] > op->imm ? 1 : 0;
-  STAT4_THREADED_NEXT();
-l_le_imm:
-  t[op->dst] = t[op->a] <= op->imm ? 1 : 0;
-  STAT4_THREADED_NEXT();
-l_ge_imm:
-  t[op->dst] = t[op->a] >= op->imm ? 1 : 0;
-  STAT4_THREADED_NEXT();
-l_load_reg_at:
+l_LoadRegAt:
   t[op->dst] = *op->reg_base;
   STAT4_THREADED_NEXT();
-l_store_reg_at:
+l_StoreRegAt:
   *op->reg_base = t[op->b] & op->reg_mask;
   STAT4_THREADED_NEXT();
-l_eq_sel:
-  t[op->dst] = t[op->a] == t[op->b] ? t[op->c] : t[op->e];
+l_LoadRegDyn:
+  t[op->dst] = st->registers->read(op->reg, t[op->a]);
   STAT4_THREADED_NEXT();
-l_ne_sel:
-  t[op->dst] = t[op->a] != t[op->b] ? t[op->c] : t[op->e];
+l_StoreRegDyn:
+  st->registers->write(op->reg, t[op->a], t[op->b]);
   STAT4_THREADED_NEXT();
-l_lt_sel:
-  t[op->dst] = t[op->a] < t[op->b] ? t[op->c] : t[op->e];
+l_Digest:
+  if (st->digests != nullptr && t[op->c] != 0) emit_digest(st, op);
   STAT4_THREADED_NEXT();
-l_gt_sel:
-  t[op->dst] = t[op->a] > t[op->b] ? t[op->c] : t[op->e];
-  STAT4_THREADED_NEXT();
-l_le_sel:
-  t[op->dst] = t[op->a] <= t[op->b] ? t[op->c] : t[op->e];
-  STAT4_THREADED_NEXT();
-l_ge_sel:
-  t[op->dst] = t[op->a] >= t[op->b] ? t[op->c] : t[op->e];
-  STAT4_THREADED_NEXT();
-l_eq_imm_sel:
-  t[op->dst] = t[op->a] == op->imm ? t[op->c] : t[op->e];
-  STAT4_THREADED_NEXT();
-l_ne_imm_sel:
-  t[op->dst] = t[op->a] != op->imm ? t[op->c] : t[op->e];
-  STAT4_THREADED_NEXT();
-l_lt_imm_sel:
-  t[op->dst] = t[op->a] < op->imm ? t[op->c] : t[op->e];
-  STAT4_THREADED_NEXT();
-l_gt_imm_sel:
-  t[op->dst] = t[op->a] > op->imm ? t[op->c] : t[op->e];
-  STAT4_THREADED_NEXT();
-l_le_imm_sel:
-  t[op->dst] = t[op->a] <= op->imm ? t[op->c] : t[op->e];
-  STAT4_THREADED_NEXT();
-l_ge_imm_sel:
-  t[op->dst] = t[op->a] >= op->imm ? t[op->c] : t[op->e];
-  STAT4_THREADED_NEXT();
-l_sel_imm_b:
-  t[op->dst] = t[op->a] ? op->imm : t[op->c];
-  STAT4_THREADED_NEXT();
-l_sel_imm_c:
-  t[op->dst] = t[op->a] ? t[op->b] : op->imm;
-  STAT4_THREADED_NEXT();
-l_eq_imm_sel_imm_b:
-  t[op->dst] = t[op->a] == op->imm ? op->reg_mask : t[op->c];
-  STAT4_THREADED_NEXT();
-l_ne_imm_sel_imm_b:
-  t[op->dst] = t[op->a] != op->imm ? op->reg_mask : t[op->c];
-  STAT4_THREADED_NEXT();
-l_lt_imm_sel_imm_b:
-  t[op->dst] = t[op->a] < op->imm ? op->reg_mask : t[op->c];
-  STAT4_THREADED_NEXT();
-l_gt_imm_sel_imm_b:
-  t[op->dst] = t[op->a] > op->imm ? op->reg_mask : t[op->c];
-  STAT4_THREADED_NEXT();
-l_le_imm_sel_imm_b:
-  t[op->dst] = t[op->a] <= op->imm ? op->reg_mask : t[op->c];
-  STAT4_THREADED_NEXT();
-l_ge_imm_sel_imm_b:
-  t[op->dst] = t[op->a] >= op->imm ? op->reg_mask : t[op->c];
-  STAT4_THREADED_NEXT();
-l_eq_imm_sel_imm_c:
-  t[op->dst] = t[op->a] == op->imm ? t[op->b] : op->reg_mask;
-  STAT4_THREADED_NEXT();
-l_ne_imm_sel_imm_c:
-  t[op->dst] = t[op->a] != op->imm ? t[op->b] : op->reg_mask;
-  STAT4_THREADED_NEXT();
-l_lt_imm_sel_imm_c:
-  t[op->dst] = t[op->a] < op->imm ? t[op->b] : op->reg_mask;
-  STAT4_THREADED_NEXT();
-l_gt_imm_sel_imm_c:
-  t[op->dst] = t[op->a] > op->imm ? t[op->b] : op->reg_mask;
-  STAT4_THREADED_NEXT();
-l_le_imm_sel_imm_c:
-  t[op->dst] = t[op->a] <= op->imm ? t[op->b] : op->reg_mask;
-  STAT4_THREADED_NEXT();
-l_ge_imm_sel_imm_c:
-  t[op->dst] = t[op->a] >= op->imm ? t[op->b] : op->reg_mask;
-  STAT4_THREADED_NEXT();
-l_end:
+l_End:
   return nullptr;
 #undef STAT4_THREADED_NEXT
-#else   // !STAT4_THREADED_COMPUTED_GOTO: portable switch loop
-  if (st == nullptr) return nullptr;
-  Word* const t = st->temps;
-  for (;; ++op) {
-    switch (static_cast<InternalOp>(op->opcode)) {
-      case kOpConst: t[op->dst] = op->imm; break;
-      case kOpParam:
-        t[op->dst] =
-            op->imm < st->action_data_len ? st->action_data[op->imm] : 0;
-        break;
-      case kOpMov: t[op->dst] = t[op->a]; break;
-      case kOpAdd: t[op->dst] = t[op->a] + t[op->b]; break;
-      case kOpSub: t[op->dst] = t[op->a] - t[op->b]; break;
-      case kOpMul: t[op->dst] = t[op->a] * t[op->b]; break;
-      case kOpShl: t[op->dst] = t[op->a] << (t[op->b] & 63); break;
-      case kOpShr: t[op->dst] = t[op->a] >> (t[op->b] & 63); break;
-      case kOpAnd: t[op->dst] = t[op->a] & t[op->b]; break;
-      case kOpOr: t[op->dst] = t[op->a] | t[op->b]; break;
-      case kOpXor: t[op->dst] = t[op->a] ^ t[op->b]; break;
-      case kOpNot: t[op->dst] = ~t[op->a]; break;
-      case kOpEq: t[op->dst] = t[op->a] == t[op->b] ? 1 : 0; break;
-      case kOpNe: t[op->dst] = t[op->a] != t[op->b] ? 1 : 0; break;
-      case kOpLt: t[op->dst] = t[op->a] < t[op->b] ? 1 : 0; break;
-      case kOpGt: t[op->dst] = t[op->a] > t[op->b] ? 1 : 0; break;
-      case kOpLe: t[op->dst] = t[op->a] <= t[op->b] ? 1 : 0; break;
-      case kOpGe: t[op->dst] = t[op->a] >= t[op->b] ? 1 : 0; break;
-      case kOpSelect: t[op->dst] = t[op->a] ? t[op->b] : t[op->c]; break;
-      case kOpLoadField: t[op->dst] = st->view->get(op->field); break;
-      case kOpStoreField: st->view->set(op->field, t[op->a]); break;
-      case kOpLoadReg: {
-        const Word idx = t[op->a];
-        t[op->dst] = idx < op->reg_size ? op->reg_base[idx] : 0;
-        break;
-      }
-      case kOpStoreReg: {
-        const Word idx = t[op->a];
-        if (idx < op->reg_size) op->reg_base[idx] = t[op->b] & op->reg_mask;
-        break;
-      }
-      case kOpHash1: t[op->dst] = stat4::sparse_hash1(t[op->a]); break;
-      case kOpHash2: t[op->dst] = stat4::sparse_hash2(t[op->a]); break;
-      case kOpDigest:
-        if (st->digests != nullptr && t[op->c] != 0) emit_digest(st, op);
-        break;
-      case kOpLoadRegDyn:
-        t[op->dst] = st->registers->read(op->reg, t[op->a]);
-        break;
-      case kOpStoreRegDyn:
-        st->registers->write(op->reg, t[op->a], t[op->b]);
-        break;
-      case kOpAddImm: t[op->dst] = t[op->a] + op->imm; break;
-      case kOpSubImm: t[op->dst] = t[op->a] - op->imm; break;
-      case kOpRsubImm: t[op->dst] = op->imm - t[op->a]; break;
-      case kOpMulImm: t[op->dst] = t[op->a] * op->imm; break;
-      case kOpShlImm: t[op->dst] = t[op->a] << op->imm; break;
-      case kOpShrImm: t[op->dst] = t[op->a] >> op->imm; break;
-      case kOpAndImm: t[op->dst] = t[op->a] & op->imm; break;
-      case kOpOrImm: t[op->dst] = t[op->a] | op->imm; break;
-      case kOpXorImm: t[op->dst] = t[op->a] ^ op->imm; break;
-      case kOpEqImm: t[op->dst] = t[op->a] == op->imm ? 1 : 0; break;
-      case kOpNeImm: t[op->dst] = t[op->a] != op->imm ? 1 : 0; break;
-      case kOpLtImm: t[op->dst] = t[op->a] < op->imm ? 1 : 0; break;
-      case kOpGtImm: t[op->dst] = t[op->a] > op->imm ? 1 : 0; break;
-      case kOpLeImm: t[op->dst] = t[op->a] <= op->imm ? 1 : 0; break;
-      case kOpGeImm: t[op->dst] = t[op->a] >= op->imm ? 1 : 0; break;
-      case kOpLoadRegAt: t[op->dst] = *op->reg_base; break;
-      case kOpStoreRegAt: *op->reg_base = t[op->b] & op->reg_mask; break;
-      case kOpEqSel:
-        t[op->dst] = t[op->a] == t[op->b] ? t[op->c] : t[op->e];
-        break;
-      case kOpNeSel:
-        t[op->dst] = t[op->a] != t[op->b] ? t[op->c] : t[op->e];
-        break;
-      case kOpLtSel:
-        t[op->dst] = t[op->a] < t[op->b] ? t[op->c] : t[op->e];
-        break;
-      case kOpGtSel:
-        t[op->dst] = t[op->a] > t[op->b] ? t[op->c] : t[op->e];
-        break;
-      case kOpLeSel:
-        t[op->dst] = t[op->a] <= t[op->b] ? t[op->c] : t[op->e];
-        break;
-      case kOpGeSel:
-        t[op->dst] = t[op->a] >= t[op->b] ? t[op->c] : t[op->e];
-        break;
-      case kOpEqImmSel:
-        t[op->dst] = t[op->a] == op->imm ? t[op->c] : t[op->e];
-        break;
-      case kOpNeImmSel:
-        t[op->dst] = t[op->a] != op->imm ? t[op->c] : t[op->e];
-        break;
-      case kOpLtImmSel:
-        t[op->dst] = t[op->a] < op->imm ? t[op->c] : t[op->e];
-        break;
-      case kOpGtImmSel:
-        t[op->dst] = t[op->a] > op->imm ? t[op->c] : t[op->e];
-        break;
-      case kOpLeImmSel:
-        t[op->dst] = t[op->a] <= op->imm ? t[op->c] : t[op->e];
-        break;
-      case kOpGeImmSel:
-        t[op->dst] = t[op->a] >= op->imm ? t[op->c] : t[op->e];
-        break;
-      case kOpSelImmB:
-        t[op->dst] = t[op->a] ? op->imm : t[op->c];
-        break;
-      case kOpSelImmC:
-        t[op->dst] = t[op->a] ? t[op->b] : op->imm;
-        break;
-      case kOpEqImmSelImmB:
-        t[op->dst] = t[op->a] == op->imm ? op->reg_mask : t[op->c];
-        break;
-      case kOpNeImmSelImmB:
-        t[op->dst] = t[op->a] != op->imm ? op->reg_mask : t[op->c];
-        break;
-      case kOpLtImmSelImmB:
-        t[op->dst] = t[op->a] < op->imm ? op->reg_mask : t[op->c];
-        break;
-      case kOpGtImmSelImmB:
-        t[op->dst] = t[op->a] > op->imm ? op->reg_mask : t[op->c];
-        break;
-      case kOpLeImmSelImmB:
-        t[op->dst] = t[op->a] <= op->imm ? op->reg_mask : t[op->c];
-        break;
-      case kOpGeImmSelImmB:
-        t[op->dst] = t[op->a] >= op->imm ? op->reg_mask : t[op->c];
-        break;
-      case kOpEqImmSelImmC:
-        t[op->dst] = t[op->a] == op->imm ? t[op->b] : op->reg_mask;
-        break;
-      case kOpNeImmSelImmC:
-        t[op->dst] = t[op->a] != op->imm ? t[op->b] : op->reg_mask;
-        break;
-      case kOpLtImmSelImmC:
-        t[op->dst] = t[op->a] < op->imm ? t[op->b] : op->reg_mask;
-        break;
-      case kOpGtImmSelImmC:
-        t[op->dst] = t[op->a] > op->imm ? t[op->b] : op->reg_mask;
-        break;
-      case kOpLeImmSelImmC:
-        t[op->dst] = t[op->a] <= op->imm ? t[op->b] : op->reg_mask;
-        break;
-      case kOpGeImmSelImmC:
-        t[op->dst] = t[op->a] >= op->imm ? t[op->b] : op->reg_mask;
-        break;
-      case kOpEnd: return nullptr;
-    }
-  }
-#endif  // STAT4_THREADED_COMPUTED_GOTO
 }
 
-#if STAT4_THREADED_COMPUTED_GOTO
 #pragma GCC diagnostic pop
-#endif
 
 // ---------------------------------------------------------------- optimizer
 
-/// Read/write model of one lowered op — the optimizer's mirror of the
-/// handler bodies above.  `pure` means "no effect beyond writing dst":
-/// store/digest ops and the dynamic-register forms (which can throw) must
-/// never be eliminated.
-struct OpIO {
-  std::array<TempId, 4> reads{};
-  std::size_t nreads = 0;
-  bool writes = false;
-  bool pure = false;
-};
-
-OpIO op_io(const ThreadedOp& op) {
-  OpIO io;
-  const auto r = [&io](TempId id) { io.reads[io.nreads++] = id; };
-  switch (static_cast<InternalOp>(op.opcode)) {
-    case kOpConst:
-    case kOpParam:
-    case kOpLoadField:
-    case kOpLoadRegAt:
-      io.writes = io.pure = true;
-      break;
-    case kOpMov:
-    case kOpNot:
-    case kOpHash1:
-    case kOpHash2:
-    case kOpLoadReg:
-    case kOpAddImm:
-    case kOpSubImm:
-    case kOpRsubImm:
-    case kOpMulImm:
-    case kOpShlImm:
-    case kOpShrImm:
-    case kOpAndImm:
-    case kOpOrImm:
-    case kOpXorImm:
-    case kOpEqImm:
-    case kOpNeImm:
-    case kOpLtImm:
-    case kOpGtImm:
-    case kOpLeImm:
-    case kOpGeImm:
-      io.writes = io.pure = true;
-      r(op.a);
-      break;
-    case kOpAdd:
-    case kOpSub:
-    case kOpMul:
-    case kOpShl:
-    case kOpShr:
-    case kOpAnd:
-    case kOpOr:
-    case kOpXor:
-    case kOpEq:
-    case kOpNe:
-    case kOpLt:
-    case kOpGt:
-    case kOpLe:
-    case kOpGe:
-    case kOpSelImmC:
-    case kOpEqImmSelImmC:
-    case kOpNeImmSelImmC:
-    case kOpLtImmSelImmC:
-    case kOpGtImmSelImmC:
-    case kOpLeImmSelImmC:
-    case kOpGeImmSelImmC:
-      io.writes = io.pure = true;
-      r(op.a);
-      r(op.b);
-      break;
-    case kOpSelImmB:
-    case kOpEqImmSelImmB:
-    case kOpNeImmSelImmB:
-    case kOpLtImmSelImmB:
-    case kOpGtImmSelImmB:
-    case kOpLeImmSelImmB:
-    case kOpGeImmSelImmB:
-      io.writes = io.pure = true;
-      r(op.a);
-      r(op.c);
-      break;
-    case kOpSelect:
-      io.writes = io.pure = true;
-      r(op.a);
-      r(op.b);
-      r(op.c);
-      break;
-    case kOpEqImmSel:
-    case kOpNeImmSel:
-    case kOpLtImmSel:
-    case kOpGtImmSel:
-    case kOpLeImmSel:
-    case kOpGeImmSel:
-      io.writes = io.pure = true;
-      r(op.a);
-      r(op.c);
-      r(op.e);
-      break;
-    case kOpEqSel:
-    case kOpNeSel:
-    case kOpLtSel:
-    case kOpGtSel:
-    case kOpLeSel:
-    case kOpGeSel:
-      io.writes = io.pure = true;
-      r(op.a);
-      r(op.b);
-      r(op.c);
-      r(op.e);
-      break;
-    case kOpStoreField:
-      r(op.a);
-      break;
-    case kOpStoreReg:
-    case kOpStoreRegDyn:
-      r(op.a);
-      r(op.b);
-      break;
-    case kOpStoreRegAt:
-      r(op.b);
-      break;
-    case kOpLoadRegDyn:  // not pure: unknown arrays throw
-      io.writes = true;
-      r(op.a);
-      break;
-    case kOpDigest:
-      r(op.a);
-      r(op.b);
-      r(op.c);
-      r(op.dst);
-      break;
-    case kOpEnd:
-      break;
-  }
-  return io;
+/// Calls `f` on every operand field of `op` that is a READ of a temp (by
+/// reference when `op` is mutable: copy propagation redirects reads).
+template <typename T, typename F>
+void for_each_op_read(T& op, F&& f) {
+  const std::uint8_t r = kForms[op.opcode].reads;
+  if (r & kReadA) f(op.a);
+  if (r & kReadB) f(op.b);
+  if (r & kReadC) f(op.c);
+  if (r & kReadE) f(op.e);
+  if (r & kReadDst) f(op.dst);
 }
 
-/// Applies `f` to every operand field of `op` that is a READ of a temp —
-/// the mutable mirror of op_io's read list, used by copy propagation to
-/// redirect reads at the copy's source.
-template <typename F>
-void for_each_read(ThreadedOp& op, F&& f) {
-  const OpIO io = op_io(op);
-  // op_io reports the read VALUES in field order a, b/c/e, (digest: dst);
-  // map them back onto the fields by matching the same switch groups.
-  switch (static_cast<InternalOp>(op.opcode)) {
-    case kOpDigest:
-      f(op.a);
-      f(op.b);
-      f(op.c);
-      f(op.dst);
-      return;
-    case kOpStoreRegAt:
-      f(op.b);
-      return;
-    default:
-      break;
-  }
-  // Remaining ops read a prefix of (a, then b or c, then c or e) — walk
-  // the canonical order and stop after io.nreads fields.
-  std::size_t left = io.nreads;
-  if (left == 0) return;
-  f(op.a);
-  if (--left == 0) return;
-  switch (static_cast<InternalOp>(op.opcode)) {
-    case kOpSelImmB:
-    case kOpEqImmSelImmB:
-    case kOpNeImmSelImmB:
-    case kOpLtImmSelImmB:
-    case kOpGtImmSelImmB:
-    case kOpLeImmSelImmB:
-    case kOpGeImmSelImmB:
-      f(op.c);
-      return;
-    case kOpEqImmSel:
-    case kOpNeImmSel:
-    case kOpLtImmSel:
-    case kOpGtImmSel:
-    case kOpLeImmSel:
-    case kOpGeImmSel:
-      f(op.c);
-      f(op.e);
-      return;
-    default:
-      f(op.b);
-      if (--left == 0) return;
-      f(op.c);
-      if (--left == 0) return;
-      f(op.e);
-      return;
-  }
+bool writes_dst(const ThreadedOp& op) {
+  return kForms[op.opcode].kind != kEffect;
 }
 
-/// Interpreter-exact evaluation of a two-operand ALU op over known values.
-Word fold_binary(Op op, Word a, Word b) {
+/// The lowered form of `op` before any optimization.
+std::uint8_t direct_form(Op op) {
   switch (op) {
-    case Op::kAdd: return a + b;
-    case Op::kSub: return a - b;
-    case Op::kMul: return a * b;
-    case Op::kShl: return a << (b & 63);
-    case Op::kShr: return a >> (b & 63);
-    case Op::kAnd: return a & b;
-    case Op::kOr: return a | b;
-    case Op::kXor: return a ^ b;
-    case Op::kEq: return a == b ? 1 : 0;
-    case Op::kNe: return a != b ? 1 : 0;
-    case Op::kLt: return a < b ? 1 : 0;
-    case Op::kGt: return a > b ? 1 : 0;
-    case Op::kLe: return a <= b ? 1 : 0;
-    case Op::kGe: return a >= b ? 1 : 0;
-    default: return 0;
+#define STAT4_DIRECT(N, fn, expr) \
+  case Op::k##N: return kOp##N;
+    STAT4_ALU_UNARY(STAT4_DIRECT)
+    STAT4_ALU_BINARY(STAT4_DIRECT)
+    STAT4_ALU_TERNARY(STAT4_DIRECT)
+#undef STAT4_DIRECT
+    case Op::kConst: return kOpConst;
+    case Op::kParam: return kOpParam;
+    case Op::kLoadField: return kOpLoadField;
+    case Op::kStoreField: return kOpStoreField;
+    case Op::kLoadReg: return kOpLoadReg;
+    case Op::kStoreReg: return kOpStoreReg;
+    case Op::kDigest: return kOpDigest;
   }
+  return kOpEnd;
 }
 
-/// The immediate-operand form of `op` with the constant on the RIGHT
-/// (t[a] <op> imm); 0 when none exists.
+/// The immediate-operand form of binary `op` with the constant on the
+/// RIGHT (t[a] <op> imm); 0 for non-binary ops.
 std::uint8_t imm_form(Op op) {
   switch (op) {
-    case Op::kAdd: return kOpAddImm;
-    case Op::kSub: return kOpSubImm;
-    case Op::kMul: return kOpMulImm;
-    case Op::kShl: return kOpShlImm;
-    case Op::kShr: return kOpShrImm;
-    case Op::kAnd: return kOpAndImm;
-    case Op::kOr: return kOpOrImm;
-    case Op::kXor: return kOpXorImm;
-    case Op::kEq: return kOpEqImm;
-    case Op::kNe: return kOpNeImm;
-    case Op::kLt: return kOpLtImm;
-    case Op::kGt: return kOpGtImm;
-    case Op::kLe: return kOpLeImm;
-    case Op::kGe: return kOpGeImm;
+#define STAT4_IMM(N, fn, expr) \
+  case Op::k##N: return kOp##N##Imm;
+    STAT4_ALU_BINARY(STAT4_IMM)
+#undef STAT4_IMM
     default: return 0;
   }
 }
 
 /// The immediate-operand form with the constant on the LEFT
-/// (imm <op> t[b]), rewritten as an equivalent right-imm op on t[b];
+/// (imm <op> t[b]), rewritten as an equivalent right-imm op on t[b]:
+/// commutative ops keep their form, comparisons mirror, sub becomes rsub;
 /// 0 when the op cannot be mirrored.
 std::uint8_t imm_form_swapped(Op op) {
   switch (op) {
-    case Op::kAdd: return kOpAddImm;
-    case Op::kMul: return kOpMulImm;
-    case Op::kAnd: return kOpAndImm;
-    case Op::kOr: return kOpOrImm;
-    case Op::kXor: return kOpXorImm;
-    case Op::kEq: return kOpEqImm;
-    case Op::kNe: return kOpNeImm;
     case Op::kSub: return kOpRsubImm;  // imm - t[b]
     case Op::kLt: return kOpGtImm;     // imm <  t  ⇔  t >  imm
     case Op::kGt: return kOpLtImm;
     case Op::kLe: return kOpGeImm;
     case Op::kGe: return kOpLeImm;
-    default: return 0;  // imm << t / imm >> t stay two ops
+    case Op::kShl:
+    case Op::kShr: return 0;  // imm << t / imm >> t stay two ops
+    default: return imm_form(op);
   }
 }
 
-/// The fused compare+select form of a comparison opcode; 0 when `opcode`
-/// is not a comparison.
-std::uint8_t sel_form(std::uint8_t opcode) {
-  switch (static_cast<InternalOp>(opcode)) {
-    case kOpEq: return kOpEqSel;
-    case kOpNe: return kOpNeSel;
-    case kOpLt: return kOpLtSel;
-    case kOpGt: return kOpGtSel;
-    case kOpLe: return kOpLeSel;
-    case kOpGe: return kOpGeSel;
-    case kOpEqImm: return kOpEqImmSel;
-    case kOpNeImm: return kOpNeImmSel;
-    case kOpLtImm: return kOpLtImmSel;
-    case kOpGtImm: return kOpGtImmSel;
-    case kOpLeImm: return kOpLeImmSel;
-    case kOpGeImm: return kOpGeImmSel;
-    default: return 0;
-  }
-}
-
-/// Fused imm-compare + kOpSelImmB form; 0 unless `opcode` is an imm
-/// comparison (the second immediate rides in the reg_mask slot, which
-/// reg-reg comparisons fused with an imm-select would also need — those
-/// pairs simply stay unfused).
-std::uint8_t sel_imm_b_form(std::uint8_t opcode) {
-  switch (static_cast<InternalOp>(opcode)) {
-    case kOpEqImm: return kOpEqImmSelImmB;
-    case kOpNeImm: return kOpNeImmSelImmB;
-    case kOpLtImm: return kOpLtImmSelImmB;
-    case kOpGtImm: return kOpGtImmSelImmB;
-    case kOpLeImm: return kOpLeImmSelImmB;
-    case kOpGeImm: return kOpGeImmSelImmB;
-    default: return 0;
-  }
-}
-
-/// Fused imm-compare + kOpSelImmC form; 0 unless `opcode` is an imm
-/// comparison.
-std::uint8_t sel_imm_c_form(std::uint8_t opcode) {
-  switch (static_cast<InternalOp>(opcode)) {
-    case kOpEqImm: return kOpEqImmSelImmC;
-    case kOpNeImm: return kOpNeImmSelImmC;
-    case kOpLtImm: return kOpLtImmSelImmC;
-    case kOpGtImm: return kOpGtImmSelImmC;
-    case kOpLeImm: return kOpLeImmSelImmC;
-    case kOpGeImm: return kOpGeImmSelImmC;
+/// The fused form of comparison `cmp` followed by a select of form `sel`
+/// (kOpSelect, kOpSelectImmB or kOpSelectImmC) reading its result; 0 when
+/// the pair does not fuse.  Only immediate comparisons fuse with an
+/// immediate select: both immediates need a slot (imm and reg_mask).
+std::uint8_t fused_form(std::uint8_t cmp, std::uint8_t sel) {
+  switch (cmp) {
+#define STAT4_FUSE(N, fn, expr)                                        \
+  case kOp##N: return sel == kOpSelect ? kOp##N##Sel : 0;               \
+  case kOp##N##Imm:                                                     \
+    return sel == kOpSelect       ? kOp##N##ImmSel                      \
+           : sel == kOpSelectImmB ? kOp##N##ImmSelImmB                  \
+                                  : kOp##N##ImmSelImmC;
+    STAT4_ALU_COMPARE(STAT4_FUSE)
+#undef STAT4_FUSE
     default: return 0;
   }
 }
@@ -852,23 +307,17 @@ ThreadedProgram threaded_compile(const Program& program,
   // ---- pass 1: lower + straight-line constant propagation ----------------
   // Straight-line code makes the dataflow exact: a temp holds a known value
   // from the op that wrote it until the next op that overwrites it.  Every
-  // fold evaluates with the interpreter's own semantics (wrapping u64,
-  // shift-count masking, the real hash externs), so optimization can never
-  // change results — the differential suites replay every catalog app to
-  // prove it.
+  // fold evaluates through alu::eval — the interpreter's own semantics — so
+  // optimization can never change results; the differential suites replay
+  // every catalog app to prove it.
   std::vector<ThreadedOp> ops;
   ops.reserve(program.code.size() + 1);
   std::vector<char> known(kTempCount, 0);
   std::vector<Word> value(kTempCount, 0);
-  const auto set_known = [&](TempId id, Word v) {
-    known[id] = 1;
-    value[id] = v;
-  };
-  const auto clobber = [&](TempId id) { known[id] = 0; };
 
   for (const Instruction& ins : program.code) {
     ThreadedOp op;
-    op.opcode = static_cast<std::uint8_t>(ins.op);
+    op.opcode = direct_form(ins.op);
     op.dst = ins.dst;
     op.a = ins.a;
     op.b = ins.b;
@@ -877,149 +326,80 @@ ThreadedProgram threaded_compile(const Program& program,
     op.reg = ins.reg;
     op.imm = ins.imm;
 
-    switch (ins.op) {
-      case Op::kConst:
-        set_known(ins.dst, ins.imm);
-        break;
-      case Op::kParam:
-      case Op::kLoadField:
-        clobber(ins.dst);
-        break;
-      case Op::kMov:
-        if (known[ins.a]) {
+    const OpEffects fx = op_effects(ins.op);
+    const bool ka = fx.reads_a && known[ins.a] != 0;
+    const bool kb = fx.reads_b && known[ins.b] != 0;
+    const bool kc = fx.reads_c && known[ins.c] != 0;
+    if (fx.pure && (!fx.reads_a || ka) && (!fx.reads_b || kb) &&
+        (!fx.reads_c || kc)) {
+      // Every input known: the op folds to a constant.
+      op.opcode = kOpConst;
+      if (ins.op != Op::kConst) {
+        op.imm = *alu::eval(ins.op, value[ins.a], value[ins.b], value[ins.c]);
+      }
+    } else if (ins.op == Op::kSelect) {
+      if (ka) {
+        const TempId src = value[ins.a] != 0 ? ins.b : ins.c;
+        if (known[src]) {
           op.opcode = kOpConst;
-          op.imm = value[ins.a];
-          set_known(ins.dst, op.imm);
+          op.imm = value[src];
         } else {
-          clobber(ins.dst);
+          op.opcode = kOpMov;
+          op.a = src;
         }
-        break;
-      case Op::kNot:
-        if (known[ins.a]) {
-          op.opcode = kOpConst;
-          op.imm = ~value[ins.a];
-          set_known(ins.dst, op.imm);
-        } else {
-          clobber(ins.dst);
-        }
-        break;
-      case Op::kHash1:
-        if (known[ins.a]) {
-          op.opcode = kOpConst;
-          op.imm = stat4::sparse_hash1(value[ins.a]);
-          set_known(ins.dst, op.imm);
-        } else {
-          clobber(ins.dst);
-        }
-        break;
-      case Op::kHash2:
-        if (known[ins.a]) {
-          op.opcode = kOpConst;
-          op.imm = stat4::sparse_hash2(value[ins.a]);
-          set_known(ins.dst, op.imm);
-        } else {
-          clobber(ins.dst);
-        }
-        break;
-      case Op::kSelect:
-        if (known[ins.a]) {
-          const TempId src = value[ins.a] != 0 ? ins.b : ins.c;
-          if (known[src]) {
-            op.opcode = kOpConst;
-            op.imm = value[src];
-            set_known(ins.dst, op.imm);
-          } else {
-            op.opcode = kOpMov;
-            op.a = src;
-            clobber(ins.dst);
-          }
-        } else {
-          // Unknown condition: fold a constant data operand into the op
-          // (at most one — there is a single imm slot; prefer b).
-          if (known[ins.b]) {
-            op.opcode = kOpSelImmB;
-            op.imm = value[ins.b];
-          } else if (known[ins.c]) {
-            op.opcode = kOpSelImmC;
-            op.imm = value[ins.c];
-          }
-          clobber(ins.dst);
-        }
-        break;
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kShl:
-      case Op::kShr:
-      case Op::kAnd:
-      case Op::kOr:
-      case Op::kXor:
-      case Op::kEq:
-      case Op::kNe:
-      case Op::kLt:
-      case Op::kGt:
-      case Op::kLe:
-      case Op::kGe:
-        if (known[ins.a] && known[ins.b]) {
-          op.opcode = kOpConst;
-          op.imm = fold_binary(ins.op, value[ins.a], value[ins.b]);
-          set_known(ins.dst, op.imm);
-        } else if (known[ins.b] && imm_form(ins.op) != 0) {
-          op.opcode = imm_form(ins.op);
-          op.imm = (ins.op == Op::kShl || ins.op == Op::kShr)
-                       ? (value[ins.b] & 63)
-                       : value[ins.b];
-          clobber(ins.dst);
-        } else if (known[ins.a] && imm_form_swapped(ins.op) != 0) {
-          op.opcode = imm_form_swapped(ins.op);
-          op.a = ins.b;
-          op.imm = value[ins.a];
-          clobber(ins.dst);
-        } else {
-          clobber(ins.dst);
-        }
-        break;
-      case Op::kStoreField:
-      case Op::kDigest:
-        break;  // no temp written
-      case Op::kLoadReg:
-      case Op::kStoreReg:
-        if (ins.reg < registers.array_count()) {
-          const RegisterWindow w = registers.window(ins.reg);
-          op.reg_base = w.base;
-          op.reg_size = w.size;
-          op.reg_mask = w.mask;
-          if (known[ins.a]) {
-            const Word idx = value[ins.a];
-            if (ins.op == Op::kLoadReg) {
-              if (idx < w.size) {
-                op.opcode = kOpLoadRegAt;
-                op.reg_base = w.base + idx;
-              } else {
-                op.opcode = kOpConst;  // OOB read is 0
-                op.imm = 0;
-              }
+      } else if (kb) {
+        // Unknown condition: fold a constant data operand into the op (at
+        // most one — there is a single imm slot; prefer b).
+        op.opcode = kOpSelectImmB;
+        op.imm = value[ins.b];
+      } else if (kc) {
+        op.opcode = kOpSelectImmC;
+        op.imm = value[ins.c];
+      }
+    } else if (imm_form(ins.op) != 0) {
+      if (kb) {
+        op.opcode = imm_form(ins.op);
+        op.imm = value[ins.b];
+      } else if (ka && imm_form_swapped(ins.op) != 0) {
+        op.opcode = imm_form_swapped(ins.op);
+        op.a = ins.b;
+        op.imm = value[ins.a];
+      }
+    } else if (ins.op == Op::kLoadReg || ins.op == Op::kStoreReg) {
+      if (ins.reg < registers.array_count()) {
+        const RegisterWindow w = registers.window(ins.reg);
+        op.reg_base = w.base;
+        op.reg_size = w.size;
+        op.reg_mask = w.mask;
+        if (ka) {
+          const Word idx = value[ins.a];
+          if (ins.op == Op::kLoadReg) {
+            if (idx < w.size) {
+              op.opcode = kOpLoadRegAt;
+              op.reg_base = w.base + idx;
             } else {
-              if (idx < w.size) {
-                op.opcode = kOpStoreRegAt;
-                op.reg_base = w.base + idx;
-              } else {
-                continue;  // OOB write is dropped — whole op vanishes
-              }
+              op.opcode = kOpConst;  // OOB read is 0
+              op.imm = 0;
+            }
+          } else {
+            if (idx < w.size) {
+              op.opcode = kOpStoreRegAt;
+              op.reg_base = w.base + idx;
+            } else {
+              continue;  // OOB write is dropped — whole op vanishes
             }
           }
-        } else {
-          // Undeclared array: keep the interpreter's throwing dispatch.
-          op.opcode = ins.op == Op::kLoadReg ? kOpLoadRegDyn : kOpStoreRegDyn;
         }
-        if (ins.op == Op::kLoadReg) {
-          if (op.opcode == kOpConst) {
-            set_known(ins.dst, 0);
-          } else {
-            clobber(ins.dst);
-          }
-        }
-        break;
+      } else {
+        // Undeclared array: keep the interpreter's throwing dispatch.
+        op.opcode = ins.op == Op::kLoadReg ? kOpLoadRegDyn : kOpStoreRegDyn;
+      }
+    }
+    if (op.opcode == kOpConst) {
+      known[ins.dst] = 1;
+      value[ins.dst] = op.imm;
+    } else if (fx.writes_dst) {
+      known[ins.dst] = 0;
     }
     ops.push_back(op);
   }
@@ -1035,9 +415,8 @@ ThreadedProgram threaded_compile(const Program& program,
       root[i] = static_cast<TempId>(i);
     }
     for (ThreadedOp& op : ops) {
-      for_each_read(op, [&root](TempId& id) { id = root[id]; });
-      const OpIO io = op_io(op);
-      if (io.writes) {
+      for_each_op_read(op, [&root](TempId& id) { id = root[id]; });
+      if (writes_dst(op)) {
         for (std::size_t t = 0; t < kTempCount; ++t) {
           if (root[t] == op.dst) root[t] = static_cast<TempId>(t);
         }
@@ -1057,13 +436,13 @@ ThreadedProgram threaded_compile(const Program& program,
     std::bitset<kTempCount> live = observable;
     std::vector<char> keep(ops.size(), 1);
     for (std::size_t i = ops.size(); i-- > 0;) {
-      const OpIO io = op_io(ops[i]);
-      if (io.pure && !live[ops[i].dst]) {
+      const ThreadedOp& op = ops[i];
+      if (kForms[op.opcode].kind == kPure && !live[op.dst]) {
         keep[i] = 0;
         continue;
       }
-      if (io.writes) live.reset(ops[i].dst);
-      for (std::size_t r = 0; r < io.nreads; ++r) live.set(io.reads[r]);
+      if (writes_dst(op)) live.reset(op.dst);
+      for_each_op_read(op, [&live](TempId id) { live.set(id); });
     }
     std::size_t w = 0;
     for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -1084,21 +463,17 @@ ThreadedProgram threaded_compile(const Program& program,
       if (i + 1 >= ops.size()) continue;
       const ThreadedOp& sel = ops[i + 1];
       const TempId cond = ops[w].dst;
-      std::uint8_t fused = 0;
-      bool data_reads_cond = true;
-      if (sel.a == cond) {
-        if (sel.opcode == kOpSelect) {
-          fused = sel_form(ops[w].opcode);
-          data_reads_cond = sel.b == cond || sel.c == cond;
-        } else if (sel.opcode == kOpSelImmB) {
-          fused = sel_imm_b_form(ops[w].opcode);
-          data_reads_cond = sel.c == cond;
-        } else if (sel.opcode == kOpSelImmC) {
-          fused = sel_imm_c_form(ops[w].opcode);
-          data_reads_cond = sel.b == cond;
-        }
+      if (sel.a != cond || (sel.opcode != kOpSelect &&
+                            sel.opcode != kOpSelectImmB &&
+                            sel.opcode != kOpSelectImmC)) {
+        continue;
       }
-      if (fused == 0 || data_reads_cond) continue;
+      const std::uint8_t fused = fused_form(ops[w].opcode, sel.opcode);
+      std::size_t cond_reads = 0;
+      for_each_op_read(sel, [&](TempId id) {
+        if (id == cond) ++cond_reads;
+      });
+      if (fused == 0 || cond_reads > 1) continue;  // data reads cond too
       // sel.dst == cond: the select overwrote the comparison bit anyway, so
       // later readers see the select result in both shapes.  Otherwise cond
       // must be invisible: not cross-action observable and re-written before
@@ -1106,17 +481,11 @@ ThreadedProgram threaded_compile(const Program& program,
       if (sel.dst != cond) {
         if (observable[cond]) continue;
         bool cond_dead = true;
-        for (std::size_t j = i + 2; j < ops.size(); ++j) {
-          const OpIO io = op_io(ops[j]);
-          bool reads_cond = false;
-          for (std::size_t r = 0; r < io.nreads; ++r) {
-            reads_cond |= io.reads[r] == cond;
-          }
-          if (reads_cond) {
-            cond_dead = false;
-            break;
-          }
-          if (io.writes && ops[j].dst == cond) break;  // re-written first
+        for (std::size_t j = i + 2; j < ops.size() && cond_dead; ++j) {
+          for_each_op_read(ops[j], [&](TempId id) {
+            if (id == cond) cond_dead = false;
+          });
+          if (writes_dst(ops[j]) && ops[j].dst == cond) break;
         }
         if (!cond_dead) continue;
       }
@@ -1125,10 +494,10 @@ ThreadedProgram threaded_compile(const Program& program,
       if (sel.opcode == kOpSelect) {
         ops[w].c = sel.b;
         ops[w].e = sel.c;
-      } else if (sel.opcode == kOpSelImmB) {
+      } else if (sel.opcode == kOpSelectImmB) {
         ops[w].reg_mask = sel.imm;  // true-branch constant
         ops[w].c = sel.c;
-      } else {  // kOpSelImmC
+      } else {  // kOpSelectImmC
         ops[w].reg_mask = sel.imm;  // false-branch constant
         ops[w].b = sel.b;
       }
@@ -1142,19 +511,13 @@ ThreadedProgram threaded_compile(const Program& program,
   ThreadedOp end;
   end.opcode = kOpEnd;
   out.ops.push_back(end);
-#if STAT4_THREADED_COMPUTED_GOTO
   const void* const* labels = threaded_core(nullptr, nullptr);
   for (ThreadedOp& op : out.ops) op.handler = labels[op.opcode];
-#endif
   return out;
 }
 
 void threaded_execute(const ThreadedProgram& program, ThreadedState& state) {
   threaded_core(program.ops.data(), &state);
-}
-
-bool threaded_uses_computed_goto() noexcept {
-  return STAT4_THREADED_COMPUTED_GOTO != 0;
 }
 
 }  // namespace p4sim

@@ -5,16 +5,16 @@
 // is resolved once at compile time instead — register accesses carry the
 // array's base pointer / bounds / width mask (RegisterFile::window), field
 // references and immediates sit in the op itself, and each op carries the
-// address of its handler so execution is a computed-goto chain
-// (GCC/Clang's labels-as-values) rather than a per-op switch.  On other
-// compilers the same op stream runs through a switch loop — identical
-// results, just slower dispatch.
+// address of its handler, so execution is a computed-goto chain (GCC/Clang
+// labels-as-values; other compilers are rejected at build time).
 //
-// Semantics are bit-identical to action.cpp execute(): the differential
-// suites (tests/exec_tier_differential_test.cpp) replay every catalog app
-// against the interpreter.  Programs referencing a register array that does
-// not exist fall back to dynamic RegisterFile dispatch per access so the
-// interpreter's out_of_range throw is preserved.
+// The handlers and the compile-time constant folding are instantiated from
+// the ALU op lists in alu.hpp, the same definitions action.cpp execute()
+// expands, so the tiers cannot disagree on an op's value.  The
+// differential suites (tests/exec_tier_differential_test.cpp) replay every
+// catalog app against the interpreter.  Programs referencing a register
+// array that does not exist fall back to dynamic RegisterFile dispatch per
+// access so the interpreter's out_of_range throw is preserved.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +28,8 @@ namespace p4sim {
 /// One pre-decoded instruction.  16-byte-ish hot prefix (handler + packed
 /// operand ids) followed by the cold operands only some ops use.
 struct ThreadedOp {
-  const void* handler = nullptr;  ///< computed-goto label (GNU dispatch)
-  std::uint8_t opcode = 0;        ///< internal opcode (switch fallback)
+  const void* handler = nullptr;  ///< computed-goto label
+  std::uint8_t opcode = 0;        ///< internal opcode (optimizer's view)
   TempId dst = 0;
   TempId a = 0;
   TempId b = 0;
@@ -79,9 +79,5 @@ struct ThreadedState {
 
 /// Runs a compiled program to completion.
 void threaded_execute(const ThreadedProgram& program, ThreadedState& state);
-
-/// Whether this build dispatches via computed goto (GCC/Clang) or the
-/// portable switch loop.
-[[nodiscard]] bool threaded_uses_computed_goto() noexcept;
 
 }  // namespace p4sim

@@ -7,15 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bitset>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/analysis.hpp"
 #include "p4sim/craft.hpp"
 #include "p4sim/p4sim.hpp"
+#include "p4sim/threaded.hpp"
 
 namespace {
 
@@ -81,6 +85,133 @@ TEST(Dataflow, CollectFactsTracksUpwardExposure) {
   EXPECT_EQ(f.max_temp_plus_one, 101u);
 }
 
+// ---- one ALU, every evaluator ----------------------------------------------
+
+/// One ALU result written out by hand: the oracle is this table, not any
+/// evaluator in src/ (they all expand the same p4sim/alu.hpp lists, so
+/// comparing them with each other alone would prove nothing).
+struct AluCase {
+  Op op;
+  Word a;
+  Word b;
+  Word c;
+  Word want;
+};
+
+constexpr Word kTop = Word{1} << 63;
+constexpr Word kAll = ~Word{0};
+
+constexpr AluCase kAluCases[] = {
+    {Op::kShl, 1, 63, 0, kTop},
+    {Op::kShl, 1, 64, 0, 1},  // shift amounts are masked & 63
+    {Op::kShl, 1, 65, 0, 2},
+    {Op::kShl, 1, kAll, 0, kTop},
+    {Op::kShl, 0xff, 4, 0, 0xff0},
+    {Op::kShr, kTop, 63, 0, 1},
+    {Op::kShr, kTop, 64, 0, kTop},
+    {Op::kShr, kTop, 65, 0, Word{1} << 62},
+    {Op::kShr, kAll, kAll, 0, 1},
+    {Op::kAdd, kAll, 1, 0, 0},  // wraps mod 2^64
+    {Op::kAdd, 40, 2, 0, 42},
+    {Op::kSub, 0, 1, 0, kAll},
+    {Op::kSub, 5, 7, 0, kAll - 1},
+    {Op::kSub, 7, 5, 0, 2},
+    {Op::kMul, Word{1} << 32, Word{1} << 32, 0, 0},
+    {Op::kMul, kAll, kAll, 0, 1},
+    {Op::kMul, 6, 7, 0, 42},
+    {Op::kAnd, 0xf0f0, 0xff00, 0, 0xf000},
+    {Op::kOr, 0xf0f0, 0xff00, 0, 0xfff0},
+    {Op::kXor, 0xf0f0, 0xff00, 0, 0x0ff0},
+    {Op::kEq, 7, 7, 0, 1},
+    {Op::kEq, 7, 8, 0, 0},
+    {Op::kNe, 7, 8, 0, 1},
+    {Op::kNe, kAll, kAll, 0, 0},
+    {Op::kLt, kTop, 1, 0, 0},  // unsigned: a signed compare would say 1
+    {Op::kLt, 1, kTop, 0, 1},
+    {Op::kLt, 5, 5, 0, 0},
+    {Op::kGt, kTop, 1, 0, 1},
+    {Op::kGt, 1, kTop, 0, 0},
+    {Op::kLe, kTop, kTop, 0, 1},
+    {Op::kLe, kTop, 0, 0, 0},
+    {Op::kGe, 0, kTop, 0, 0},
+    {Op::kGe, kTop, 1, 0, 1},
+    {Op::kNot, 0, 0, 0, kAll},
+    {Op::kNot, kAll, 0, 0, 0},
+    {Op::kMov, 42, 0, 0, 42},
+    {Op::kHash1, 0, 0, 0, 0xe220a8397b1dcdafULL},  // SplitMix64 of 0
+    {Op::kHash2, 1, 0, 0, 0xc0c3e1dfc3f310e5ULL},
+    {Op::kSelect, 2, 10, 20, 10},  // any nonzero condition picks b
+    {Op::kSelect, kTop, 10, 20, 10},
+    {Op::kSelect, 0, 10, 20, 20},
+};
+
+std::string describe(const AluCase& k) {
+  std::ostringstream os;
+  os << "op " << static_cast<int>(k.op) << " a=" << k.a << " b=" << k.b
+     << " c=" << k.c;
+  return os.str();
+}
+
+std::size_t arity(Op op) {
+  const analysis::OpEffects fx = analysis::op_effects(op);
+  return std::size_t{fx.reads_a} + fx.reads_b + fx.reads_c;
+}
+
+bool is_compare(Op op) {
+  return op == Op::kEq || op == Op::kNe || op == Op::kLt || op == Op::kGt ||
+         op == Op::kLe || op == Op::kGe;
+}
+
+/// Emits operand `i` of a case into temp `dst`: a kConst when `as_const`,
+/// else a kParam reading action-data word `param`.
+void emit_operand(Program& p, TempId dst, Word v, bool as_const,
+                  std::size_t param) {
+  p4sim::Instruction ins;
+  ins.dst = dst;
+  ins.op = as_const ? Op::kConst : Op::kParam;
+  ins.imm = as_const ? v : param;
+  p.code.push_back(ins);
+}
+
+/// `k.op` over t0..t2 into t3; operand i is a constant when bit i of
+/// `const_mask` is set, else action-data word i.
+Program alu_program(const AluCase& k, unsigned const_mask) {
+  Program p;
+  p.name = "alu";
+  const Word vals[] = {k.a, k.b, k.c};
+  for (std::size_t i = 0; i < arity(k.op); ++i) {
+    emit_operand(p, static_cast<TempId>(i), vals[i], (const_mask >> i) & 1U,
+                 i);
+  }
+  p4sim::Instruction ins;
+  ins.op = k.op;
+  ins.dst = 3;
+  ins.a = 0;
+  ins.b = 1;
+  ins.c = 2;
+  p.code.push_back(ins);
+  return p;
+}
+
+/// Threaded-tier result of `p` over action data `data`: temp `result`, and
+/// the compiled stream's length (terminator included), which shows the
+/// operand shape the optimizer lowered to.
+std::pair<Word, std::size_t> run_threaded(const Program& p,
+                                          const std::vector<Word>& data,
+                                          TempId result) {
+  RegisterFile rf;
+  std::bitset<p4sim::kTempCount> observable;
+  observable.set(result);
+  const p4sim::ThreadedProgram tp = p4sim::threaded_compile(p, rf, observable);
+  std::vector<Word> temps(p4sim::kTempCount, 0);
+  p4sim::ThreadedState st;
+  st.temps = temps.data();
+  st.action_data = data.data();
+  st.action_data_len = data.size();
+  p4sim::threaded_execute(tp, st);
+  return {temps[result], tp.ops.size()};
+}
+
 TEST(Dataflow, FoldMatchesExecuteExactly) {
   // Every pure opcode folded at compile time must equal execute() at run
   // time, including wrapping arithmetic and shift-amount masking.
@@ -114,6 +245,143 @@ TEST(Dataflow, FoldMatchesExecuteExactly) {
             << "op " << static_cast<int>(op) << " a=" << a << " b=" << b;
       }
     }
+  }
+
+  // Every evaluator against the hand-written table.
+  for (const AluCase& k : kAluCases) {
+    SCOPED_TRACE(describe(k));
+    const std::vector<Word> data = {k.a, k.b, k.c};
+    const Program runtime = alu_program(k, 0);
+
+    // The interpreter.
+    p4sim::ExecutionContext ctx;
+    ctx.action_data = data;
+    p4sim::execute(runtime, ctx);
+    EXPECT_EQ(ctx.temps[3], k.want) << "execute";
+
+    // analysis::fold_instruction.
+    EXPECT_EQ(analysis::fold_instruction(runtime.code.back(), k.a, k.b, k.c),
+              std::optional<Word>(k.want))
+        << "fold_instruction";
+
+    // The symbolic evaluator, with the action-data variables pinned.
+    analysis::sym::Dag dag;
+    const analysis::sym::SymState st =
+        analysis::sym::sym_execute(runtime, dag, analysis::sym::SymEnv{});
+    analysis::sym::Valuation val(1);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      val.pin_var({analysis::sym::VarRef::Origin::kParam, i, kAll}, data[i]);
+    }
+    std::vector<std::optional<Word>> cache;
+    EXPECT_EQ(analysis::sym::evaluate(dag, st.temps[3], val, cache), k.want)
+        << "symbolic evaluate";
+
+    // The threaded tier in every operand shape: each operand either known
+    // at compile time (folded into the op) or read at run time.
+    const unsigned shapes = 1U << arity(k.op);
+    for (unsigned mask = 0; mask < shapes; ++mask) {
+      const auto [got, len] = run_threaded(alu_program(k, mask), data, 3);
+      EXPECT_EQ(got, k.want) << "threaded, constant-operand mask " << mask;
+      if (mask == shapes - 1) {
+        EXPECT_EQ(len, 2U) << "fully folded to one constant";
+      }
+      if (arity(k.op) != 2) continue;
+      const bool shift = k.op == Op::kShl || k.op == Op::kShr;
+      if (mask == 0) {
+        EXPECT_EQ(len, 4U) << "both operands at run time";
+      } else if (mask == 1) {
+        EXPECT_EQ(len, shift ? 4U : 3U)
+            << "left-immediate (rsub / mirrored compare) form";
+      } else if (mask == 2) {
+        EXPECT_EQ(len, 3U) << "right-immediate form";
+      }
+    }
+
+    // Fused compare+select: t2 = t0 <cmp> t1; t3 = t2 ? t4 : t5.
+    if (!is_compare(k.op)) continue;
+    const Word x = 0x1111;
+    const Word y = 0x2222;
+    const std::vector<Word> sel_data = {k.a, k.b, 0, x, y};
+    struct Fused {
+      bool b_const, x_const, y_const;
+      std::size_t len;
+    };
+    for (const Fused f : {Fused{false, false, false, 6},  // reg-reg compare
+                          Fused{true, false, false, 5},   // imm compare
+                          Fused{true, true, false, 4},    // + imm true arm
+                          Fused{true, false, true, 4}}) { // + imm false arm
+      Program p;
+      p.name = "fused";
+      emit_operand(p, 0, k.a, false, 0);
+      emit_operand(p, 1, k.b, f.b_const, 1);
+      emit_operand(p, 4, x, f.x_const, 3);
+      emit_operand(p, 5, y, f.y_const, 4);
+      p4sim::Instruction cmp;
+      cmp.op = k.op;
+      cmp.dst = 2;
+      cmp.a = 0;
+      cmp.b = 1;
+      p.code.push_back(cmp);
+      p4sim::Instruction sel;
+      sel.op = Op::kSelect;
+      sel.dst = 3;
+      sel.a = 2;
+      sel.b = 4;
+      sel.c = 5;
+      p.code.push_back(sel);
+      const auto [got, len] = run_threaded(p, sel_data, 3);
+      EXPECT_EQ(got, k.want != 0 ? x : y) << "fused compare+select";
+      EXPECT_EQ(len, f.len) << "compare and select fused into one op";
+    }
+  }
+
+  // The native tier: every case in one action, results to a register.
+  p4sim::P4Switch sw("alu_native");
+  sw.set_exec_tier(p4sim::ExecTier::kNative);
+  const auto out = sw.declare_register("out", std::size(kAluCases), 64);
+  Program all;
+  all.name = "alu_all";
+  std::vector<Word> all_data;
+  for (std::size_t i = 0; i < std::size(kAluCases); ++i) {
+    const AluCase& k = kAluCases[i];
+    const auto base = static_cast<TempId>(5 * i);
+    const Word vals[] = {k.a, k.b, k.c};
+    for (std::size_t j = 0; j < 3; ++j) {
+      emit_operand(all, static_cast<TempId>(base + j), vals[j], false,
+                   all_data.size());
+      all_data.push_back(vals[j]);
+    }
+    p4sim::Instruction ins;
+    ins.op = k.op;
+    ins.dst = static_cast<TempId>(base + 3);
+    ins.a = base;
+    ins.b = static_cast<TempId>(base + 1);
+    ins.c = static_cast<TempId>(base + 2);
+    all.code.push_back(ins);
+    emit_operand(all, static_cast<TempId>(base + 4), i, true, 0);
+    p4sim::Instruction store;
+    store.op = Op::kStoreReg;
+    store.reg = out;
+    store.a = static_cast<TempId>(base + 4);
+    store.b = static_cast<TempId>(base + 3);
+    all.code.push_back(store);
+  }
+  const auto action = sw.add_action(std::move(all));
+  const auto table = sw.add_table(
+      "alu", {p4sim::KeySpec{p4sim::FieldRef::kIpv4Dst,
+                             p4sim::MatchKind::kExact}});
+  sw.table(table).set_default_action(action, all_data);
+  sw.add_table_stage(table);
+  (void)sw.process(p4sim::make_udp_packet(ipv4(8, 8, 8, 8), ipv4(10, 0, 0, 1),
+                                          1, 2));
+  if (sw.active_tier() != p4sim::ExecTier::kNative) {
+    GTEST_SKIP() << "native tier unavailable: the switch degraded to tier "
+                 << static_cast<int>(sw.active_tier())
+                 << " (no working host compiler)";
+  }
+  for (std::size_t i = 0; i < std::size(kAluCases); ++i) {
+    EXPECT_EQ(sw.registers().read(out, i), kAluCases[i].want)
+        << "native, " << describe(kAluCases[i]);
   }
 }
 

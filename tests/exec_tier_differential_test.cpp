@@ -136,7 +136,10 @@ void replay_tier(const std::string& app, ExecTier tier, bool batched,
   expect_same_registers(*ref, *got, what);
 }
 
-using TierParam = std::tuple<const char*, ExecTier>;
+// The app name is a std::string, not a const char*: gtest prints a char
+// pointer parameter with its (ASLR-randomised) address, which would leak
+// into the discovered ctest names and change them on every build.
+using TierParam = std::tuple<std::string, ExecTier>;
 
 class ExecTierDifferential : public ::testing::TestWithParam<TierParam> {};
 
@@ -160,7 +163,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(ExecTier::kInterpreter, ExecTier::kThreaded,
                           ExecTier::kNative)),
     [](const ::testing::TestParamInfo<TierParam>& param_info) {
-      return std::string(std::get<0>(param_info.param)) + "_" +
+      return std::get<0>(param_info.param) + "_" +
              tier_tag(std::get<1>(param_info.param));
     });
 

@@ -12,7 +12,9 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
+#include "p4sim/jit/engine.hpp"
 #include "p4sim/jit/transpiler.hpp"
 #include "p4sim/p4sim.hpp"
 #include "stat4p4/stat4p4.hpp"
@@ -132,6 +134,75 @@ TEST_F(JitFallback, RecoversOnceCompilerIsBack) {
   const auto out = app.sw().process(test_packet());
   EXPECT_FALSE(out.dropped);
   EXPECT_NE(app.sw().active_tier(), ExecTier::kInterpreter);
+}
+
+/// A one-action unit computing t0 = t0 + k (t0 is read before written, so
+/// the action stores it back).  `tag` makes the unit name, and so the
+/// source text, unique to the caller.
+std::string add_k_source(p4sim::Word k, const std::string& tag) {
+  p4sim::Program p;
+  p.name = "add_k";
+  p4sim::Instruction c;
+  c.op = p4sim::Op::kConst;
+  c.dst = 1;
+  c.imm = k;
+  p4sim::Instruction add;
+  add.op = p4sim::Op::kAdd;
+  add.dst = 0;
+  add.a = 0;
+  add.b = 1;
+  p.code = {c, add};
+  const std::vector<p4sim::Program> actions = {p};
+  const p4sim::RegisterFile registers;
+  const auto tr = p4sim::jit::transpile(actions, registers, tag);
+  EXPECT_TRUE(tr.ok) << tr.reason;
+  return tr.source;
+}
+
+/// Runs action 0 of `unit` over t0 = 40 and returns the new t0.
+p4sim::Word run_add_k(const p4sim::jit::CompiledUnit& unit) {
+  std::vector<p4sim::Word> temps(p4sim::kTempCount, 0);
+  temps[0] = 40;
+  p4sim::jit::Context ctx;
+  ctx.temps = temps.data();
+  unit.actions().at(0)(&ctx);
+  return temps[0];
+}
+
+TEST(JitUnitCache, DistinctSourcesGetDistinctUnits) {
+  const auto one = p4sim::jit::compile_unit(add_k_source(1, "cache_distinct"));
+  if (!one.unit) GTEST_SKIP() << "native tier unavailable: " << one.reason;
+  const auto two = p4sim::jit::compile_unit(add_k_source(2, "cache_distinct"));
+  ASSERT_TRUE(two.unit) << two.reason;
+  EXPECT_NE(one.unit, two.unit);
+  EXPECT_EQ(run_add_k(*one.unit), 41U);
+  EXPECT_EQ(run_add_k(*two.unit), 42U);
+}
+
+TEST(JitUnitCache, SameSourceTwiceIsOneCacheHit) {
+  // A fresh name per run keeps the first compile a miss under
+  // --gtest_repeat too.
+  static int run = 0;
+  const std::string source =
+      add_k_source(3, "cache_same_twice_" + std::to_string(run++));
+  const auto hits = [] {
+    return telemetry::MetricsRegistry::global()
+        .counter("p4sim.jit.cache_hits")
+        .value();
+  };
+  const std::uint64_t before = hits();
+  const auto first = p4sim::jit::compile_unit(source);
+  if (!first.unit) GTEST_SKIP() << "native tier unavailable: " << first.reason;
+  const auto second = p4sim::jit::compile_unit(source);
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(first.unit, second.unit);
+  EXPECT_EQ(run_add_k(*second.unit), 43U);
+#if STAT4_TELEMETRY_ENABLED
+  EXPECT_EQ(hits(), before + 1);
+#else
+  (void)before;
+#endif
 }
 
 }  // namespace
