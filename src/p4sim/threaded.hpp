@@ -25,8 +25,10 @@
 
 namespace p4sim {
 
-/// One pre-decoded instruction.  16-byte-ish hot prefix (handler + packed
-/// operand ids) followed by the cold operands only some ops use.
+/// One pre-decoded instruction, 64 bytes: the handler and the packed
+/// operand ids first, then the operands only some ops use.  A side exit
+/// holds its target in `imm` as an op-index offset from itself, so a
+/// ThreadedProgram stays valid when copied or moved.
 struct ThreadedOp {
   const void* handler = nullptr;  ///< computed-goto label
   std::uint8_t opcode = 0;        ///< internal opcode (optimizer's view)
@@ -43,8 +45,8 @@ struct ThreadedOp {
   Word reg_mask = 0;
 };
 
-/// A compiled program: the op stream always ends with a terminator op, so
-/// the dispatch loop needs no bounds check.
+/// A compiled program: every path through the op stream ends with a
+/// terminator op, so the dispatch loop needs no bounds check.
 struct ThreadedProgram {
   std::vector<ThreadedOp> ops;
 };
@@ -64,10 +66,22 @@ struct ThreadedState {
 
 /// Pre-decodes `program`, resolving register operands against `registers`,
 /// and optimizes the op stream: straight-line constant propagation and
-/// folding (exact interpreter semantics, including the hash externs),
-/// immediate-operand op variants, constant-index register accesses lowered
-/// to pre-resolved cell pointers, fused compare+select pairs, and dead-code
+/// folding (exact interpreter semantics, including the hash externs, and
+/// the zero identities x&0 = x*0 = 0, x+0 = x|0 = x^0 = x-0 = x<<0 = x>>0
+/// = x), immediate-operand op variants, constant-index register accesses
+/// lowered to pre-resolved cell pointers, removal of digests that never
+/// fire and of stores that write back the value just loaded from the same
+/// cell, copy propagation, fused compare+select pairs, and dead-code
 /// elimination of pure ops whose result no installed action can observe.
+///
+/// Side exits: for a store guard g — the condition of a select whose
+/// result a register or field store writes — the stream may test t[g]
+/// right after g's definition and jump to the general tail when it is
+/// non-zero; the fall-through tail is the rest of the program lowered by
+/// the same passes with t[g] == 0 known, where the guarded update folds
+/// away.  Exits are chosen greedily by the ops their fall-through side
+/// saves.  A program without a store guard lowers to a straight stream.
+///
 /// `observable` is the union of every installed action's read-before-write
 /// set (see read_before_write): temps outside it are program-local and may
 /// be optimized away; temps inside it keep their final stores.  The result
@@ -79,5 +93,11 @@ struct ThreadedState {
 
 /// Runs a compiled program to completion.
 void threaded_execute(const ThreadedProgram& program, ThreadedState& state);
+
+/// The number of ops, terminator excluded, that one run of `program` over
+/// temps `temps` executes, with every side exit reading its guard from
+/// `temps` — for inspecting a compiled program, not for running it.
+[[nodiscard]] std::size_t threaded_path_length(const ThreadedProgram& program,
+                                               const Word* temps);
 
 }  // namespace p4sim

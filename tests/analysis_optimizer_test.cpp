@@ -209,6 +209,9 @@ std::pair<Word, std::size_t> run_threaded(const Program& p,
   st.action_data = data.data();
   st.action_data_len = data.size();
   p4sim::threaded_execute(tp, st);
+  // No store guard, so no side exit: the stream is one path through every
+  // op, and its length is the operand shape alone.
+  EXPECT_EQ(p4sim::threaded_path_length(tp, temps.data()) + 1, tp.ops.size());
   return {temps[result], tp.ops.size()};
 }
 
