@@ -10,7 +10,7 @@
 #
 # Suppressions policy: add -Wno-analyzer-* flags to a SUPPRESSIONS array only
 # with a one-line triage comment naming the false-positive pattern.  The
-# src/analysis/ list is empty — all twelve TUs analyze clean on g++ 12 — and
+# src/analysis/ list is empty — all eleven TUs analyze clean on g++ 12 — and
 # must stay that way; the sketch/ML list carries two triaged entries below.
 #
 # Usage: scripts/analyzer.sh   (CXX overrides the compiler, default g++)

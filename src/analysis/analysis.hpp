@@ -7,7 +7,6 @@
 #include "analysis/diagnostics.hpp"   // IWYU pragma: export
 #include "analysis/hazards.hpp"       // IWYU pragma: export
 #include "analysis/interval.hpp"      // IWYU pragma: export
-#include "analysis/overflow.hpp"      // IWYU pragma: export
 #include "analysis/pass_manager.hpp"  // IWYU pragma: export
 #include "analysis/passes.hpp"        // IWYU pragma: export
 #include "analysis/pipeline_model.hpp"  // IWYU pragma: export

@@ -17,7 +17,7 @@ const char* severity_name(Severity s) noexcept {
 
 const std::vector<RuleInfo>& rule_catalogue() {
   static const std::vector<RuleInfo> kRules = {
-      // ---- overflow / value-range pass (overflow.cpp) ----------------------
+      // ---- value-range report (precision.cpp, run_overflow_pass) -----------
       {"S4-OVF-001", Severity::kError,
        "register write may exceed the array's declared width (value is "
        "truncated; the accumulator silently wraps)"},

@@ -1,11 +1,12 @@
-// Unsigned interval domain for the overflow pass.
+// Unsigned interval domain: the value half of the abstract interpreter
+// (precision.hpp).
 //
 // Bounds are 128-bit so the analysis tracks the IDEAL (un-wrapped) value of
 // every expression: the simulator's 64-bit words wrap like P4 `bit<64>`, and
 // the whole point of the pass is to detect when the ideal value of an
 // accumulator or product exceeds the width it is stored into.  Operations
 // are inclusion-isotonic (wider inputs give wider outputs), which makes the
-// fixed-point iteration in overflow.cpp monotone.
+// fixed-point iteration in precision.cpp monotone.
 //
 // Wrap-aware special case: once a value has been widened to the full 64-bit
 // range because of a possible wrap (e.g. an unprovable guarded subtraction),

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bitset>
 #include <map>
 #include <set>
 #include <tuple>
 
-#include "analysis/acceleration.hpp"
-#include "analysis/pipeline_model.hpp"
 #include "analysis/symbolic.hpp"
 #include "p4sim/disasm.hpp"
 
@@ -22,8 +21,9 @@ using p4sim::Op;
 using p4sim::Program;
 using p4sim::Word;
 
-/// One abstract value: implemented-value interval (ideal-integer 128-bit,
-/// as in the overflow pass) + proven error vs the mixed-semantics ideal.
+/// One abstract value, the product domain: implemented-value interval
+/// (ideal-integer 128-bit) + proven error vs the mixed-semantics ideal.  The
+/// interval half never reads the error half.
 ///
 /// `absolute` records whether `err` bounds the REAL difference
 /// |ideal - impl|, not merely the ring distance.  Ring-only errors survive
@@ -55,7 +55,6 @@ PrecVal join_val(const PrecVal& a, const PrecVal& b) {
 
 struct State {
   std::vector<PrecVal> regs;
-  bool operator==(const State& o) const { return regs == o.regs; }
 };
 
 State join_state(const State& a, const State& b) {
@@ -85,6 +84,16 @@ std::string u128_str(U128 v) {
   }
   std::reverse(s.begin(), s.end());
   return s;
+}
+
+std::string bound_str(U128 v) {
+  std::string s = u128_str(v);
+  if (v > kMax64) s += " (~2^" + std::to_string(bit_length(v) - 1) + ")";
+  return s;
+}
+
+std::string range_str(const Interval& iv) {
+  return "[" + u128_str(iv.lo) + ", " + bound_str(iv.hi) + "]";
 }
 
 /// Integer square root of a U128, rounded down.
@@ -130,6 +139,7 @@ struct PrecFacts {
   std::vector<Word> bits;  ///< one per instruction; all-ones for stores
   std::vector<ApproxSpan> spans;
   std::vector<int> span_ending_at;  ///< code idx -> span idx, -1 if none
+  std::size_t temps = 0;  ///< 1 + the highest temp the program names
 };
 
 PrecFacts build_facts(const Program& p, const p4sim::RegisterFile& rf,
@@ -143,6 +153,10 @@ PrecFacts build_facts(const Program& p, const p4sim::RegisterFile& rf,
     (void)sym::sym_execute(p, dag, env);
   }
   facts.span_ending_at.assign(p.code.size(), -1);
+  for (const Instruction& ins : p.code) {
+    facts.temps = std::max<std::size_t>(
+        {facts.temps, ins.dst + 1u, ins.a + 1u, ins.b + 1u, ins.c + 1u});
+  }
   for (const ApproxSpan& span : p.approx_spans) {
     const bool range_ok = span.begin < span.end && span.end <= p.code.size();
     const bool out_ok =
@@ -161,6 +175,8 @@ PrecFacts build_facts(const Program& p, const p4sim::RegisterFile& rf,
       }
       continue;
     }
+    facts.temps =
+        std::max<std::size_t>({facts.temps, span.in_a + 1u, span.in_b + 1u});
     facts.span_ending_at[span.end - 1] = static_cast<int>(facts.spans.size());
     facts.spans.push_back(span);
   }
@@ -242,14 +258,33 @@ U128 span_error(const ApproxSpan& span, const PrecVal& in_a,
   return e_clamp(err);
 }
 
-/// One abstract execution of a program under the error domain.
+/// Deduplicating S4-OVF emitter for the report step: the same instruction
+/// may be visited once per stage alternative.  Inactive (null engine)
+/// while iterating and for the precision report.
+struct Emitter {
+  DiagnosticEngine* engine = nullptr;
+  std::set<std::tuple<std::string, int, std::string, std::string>> seen;
+  std::string scope;  ///< "within N observations" / "(holds for any ...)"
+
+  [[nodiscard]] bool active() const { return engine != nullptr; }
+
+  void emit(const char* rule, Severity severity, const std::string& program,
+            int instruction, const std::string& object, std::string message) {
+    if (!seen.emplace(program, instruction, rule, object).second) return;
+    engine->report(rule, severity, std::move(message),
+                   SourceLoc{program, instruction, object});
+  }
+};
+
+/// One abstract execution of a program under the product domain; when `em`
+/// is active, also reports the value-range findings S4-OVF-001..004.
 void transfer(const Program& p, const PrecFacts& facts,
               const std::vector<Interval>& params,
               const p4sim::RegisterFile& rf, const PrecisionOptions& popts,
               State& s, FieldState& fs, std::vector<PrecVal>& temps,
-              std::vector<Word>& temp_bits) {
-  temps.assign(p4sim::kTempCount, PrecVal{});
-  temp_bits.assign(p4sim::kTempCount, 0);
+              std::vector<Word>& temp_bits, Emitter& em) {
+  temps.assign(facts.temps, PrecVal{});
+  temp_bits.assign(facts.temps, 0);
   // Input snapshots for spans whose end we have not reached yet.
   std::vector<std::pair<PrecVal, PrecVal>> span_in(facts.spans.size());
   std::vector<bool> span_in_set(facts.spans.size(), false);
@@ -262,6 +297,7 @@ void transfer(const Program& p, const PrecFacts& facts,
       }
     }
     const Instruction& ins = p.code[i];
+    const int loc = static_cast<int>(i);
     const PrecVal a = temps[ins.a];
     const PrecVal b = temps[ins.b];
     bool ovf = false;
@@ -417,6 +453,13 @@ void transfer(const Program& p, const PrecFacts& facts,
         break;
       case Op::kStoreField: {
         const unsigned w = field_bits(ins.field);
+        if (em.active() && !a.iv.fits(w)) {
+          em.emit("S4-OVF-002", Severity::kError, p.name, loc,
+                  p4sim::field_name(ins.field),
+                  std::string("value range ") + range_str(a.iv) +
+                      " cannot fit field '" + p4sim::field_name(ins.field) +
+                      "' (" + std::to_string(w) + " bits) " + em.scope);
+        }
         PrecVal stored = a;
         stored.err = std::min(stored.err, err_ring_half(w));
         stored.absolute = true;  // width-masked store re-anchors the ideal
@@ -435,8 +478,14 @@ void transfer(const Program& p, const PrecFacts& facts,
       case Op::kStoreReg: {
         if (ins.reg >= s.regs.size()) continue;
         const unsigned w = rf.info(ins.reg).width_bits;
+        if (em.active() && !b.iv.fits(w)) {
+          em.emit("S4-OVF-001", Severity::kError, p.name, loc,
+                  rf.info(ins.reg).name,
+                  std::string("value range ") + range_str(b.iv) +
+                      " cannot fit register '" + rf.info(ins.reg).name +
+                      "' (" + std::to_string(w) + " bits) " + em.scope);
+        }
         PrecVal stored = b;
-        stored.iv = b.iv;
         stored.err = std::min(stored.err, err_ring_half(w));
         stored.absolute = true;  // width-masked store re-anchors the ideal
         s.regs[ins.reg] = join_val(s.regs[ins.reg], stored);
@@ -447,6 +496,20 @@ void transfer(const Program& p, const PrecFacts& facts,
       case Op::kHash1:
       case Op::kHash2: r.iv = Interval::top64(); break;
       case Op::kDigest: continue;
+    }
+    if (ovf && em.active()) {
+      em.emit("S4-OVF-003", Severity::kError, p.name, loc,
+              p4sim::op_name(ins.op),
+              std::string(p4sim::op_name(ins.op)) + " of " + range_str(a.iv) +
+                  " and " + range_str(b.iv) + " reaches " +
+                  bound_str(r.iv.hi) + " > 2^64-1: the 64-bit word wraps " +
+                  em.scope);
+    }
+    if (wrap && em.active()) {
+      em.emit("S4-OVF-004", Severity::kNote, p.name, loc,
+              p4sim::op_name(ins.op),
+              std::string("subtraction ") + range_str(a.iv) + " - " +
+                  range_str(b.iv) + " may wrap below zero " + em.scope);
     }
     temps[ins.dst] = r;
     if (i < facts.bits.size()) temp_bits[ins.dst] = facts.bits[i];
@@ -487,7 +550,10 @@ struct Stepper {
     return fs;
   }
 
-  State step(const State& s, FieldState* final_fields = nullptr) {
+  /// One abstract packet: every stage applies one of its alternatives or is
+  /// skipped; the result joins with the incoming state (monotone).
+  State step(const State& s, Emitter& em,
+             FieldState* final_fields = nullptr) {
     State cur = s;
     FieldState fs = initial_fields();
     for (const auto& stage : pipe->stages) {
@@ -497,7 +563,7 @@ struct Stepper {
         State t = cur;
         FieldState ft = fs;
         transfer(*alt.program, facts->at(alt.program), alt.params,
-                 *pipe->registers, *popts, t, ft, temps, temp_bits);
+                 *pipe->registers, *popts, t, ft, temps, temp_bits, em);
         merged = join_state(merged, t);
         fmerged = join_fields(fmerged, ft);
       }
@@ -509,7 +575,245 @@ struct Stepper {
   }
 };
 
+// ---- polynomial fixpoint acceleration ---------------------------------------
+//
+// When the last kAccelWindow samples of a history (an interval high or an
+// error bound) grow with a constant non-negative second difference, the
+// remaining budget of iterations is jumped in closed form instead of
+// simulated: the degree<=2 polynomial is an upper bound on any further
+// growth with those differences, so the jump stays sound (saturating U128
+// arithmetic caps at kInf).
+
+constexpr std::size_t kAccelWindow = 8;  ///< growth samples per history
+
+using AccelHistory = std::array<U128, kAccelWindow>;
+
+/// Shifts the window left and appends the newest sample.
+void accel_push(AccelHistory& h, U128 sample) {
+  std::rotate(h.begin(), h.begin() + 1, h.end());
+  h[kAccelWindow - 1] = sample;
+}
+
+/// Degree<=2 fit of a monotone growth window: true when the second
+/// difference is a non-negative constant.  Fills d1 (latest first
+/// difference) and d2.
+bool poly_fit(const AccelHistory& h, U128* d1, U128* d2) {
+  std::array<U128, kAccelWindow - 1> diff1{};
+  for (std::size_t i = 0; i + 1 < kAccelWindow; ++i) {
+    if (h[i + 1] < h[i]) return false;  // not monotone
+    diff1[i] = h[i + 1] - h[i];
+  }
+  for (std::size_t i = 0; i + 2 < kAccelWindow; ++i) {
+    if (diff1[i + 1] < diff1[i]) return false;  // concave: do not extrapolate
+    if (diff1[i + 1] - diff1[i] != diff1[1] - diff1[0]) return false;
+  }
+  *d1 = diff1[kAccelWindow - 2];
+  *d2 = diff1[1] - diff1[0];
+  return true;
+}
+
+/// Closed-form jump of R further steps: h += d1*R + d2*R*(R+1)/2.
+U128 poly_jump(U128 h, U128 d1, U128 d2, U128 r) {
+  U128 out = sat_add(h, sat_mul(d1, r));
+  const U128 tri = sat_mul(r, sat_add(r, 1)) / 2;
+  return sat_add(out, sat_mul(d2, tri));
+}
+
+// ---- the fixpoint driver ----------------------------------------------------
+
+/// Which histories gate fixpoint detection, acceleration and widening.  The
+/// interval transfer never reads the error, so kValue follows exactly the
+/// value trajectory (the verifier); kValueAndError also waits for, fits and
+/// widens the error bounds (the precision pass).  Gating the verifier on
+/// the error too would let irregular error growth force its values into
+/// exact iteration and widening, degrading value verdicts.
+enum class Gate : std::uint8_t { kValue, kValueAndError };
+
+bool same(const PrecVal& a, const PrecVal& b, Gate gate) {
+  return gate == Gate::kValue ? a.iv == b.iv : a == b;
+}
+
+bool same(const State& a, const State& b, Gate gate) {
+  for (std::size_t r = 0; r < a.regs.size(); ++r) {
+    if (!same(a.regs[r], b.regs[r], gate)) return false;
+  }
+  return true;
+}
+
+/// One run of the engine over a pipeline.
+struct Run {
+  State before;       ///< register state entering the report step
+  State after;        ///< register state after the report step
+  FieldState fields;  ///< end-of-pipeline fields of the report step
+  std::bitset<p4sim::kFieldCount> written_fields;
+  std::vector<std::size_t> unproven;  ///< arrays widened, not proven
+  std::uint64_t target = 0;        ///< observation budget (>= 1)
+  std::uint64_t observations = 0;  ///< covered (a jump counts in full)
+  std::uint64_t exact = 0;         ///< exact iterations before widening
+  std::uint64_t steps = 0;         ///< abstract packets executed
+  bool fixpoint = false;
+  bool extrapolated = false;
+};
+
+/// Iterates `pipeline` to a fixpoint or the observation budget, then runs
+/// the report step, which reports S4-OVF-001..004 into `ovf` when non-null.
+/// Invalid approx spans (S4-PREC-004) go to `prec` when non-null.
+Run run_engine(const AbstractPipeline& pipeline,
+               const AnalysisOptions& options, const PrecisionOptions& popts,
+               Gate gate, DiagnosticEngine* ovf, DiagnosticEngine* prec) {
+  Run run;
+  const std::size_t arrays = pipeline.registers->array_count();
+
+  // Per-program facts: possible-bits + validated spans.
+  std::map<const Program*, PrecFacts> facts;
+  for (const auto& stage : pipeline.stages) {
+    for (const auto& alt : stage) {
+      if (facts.count(alt.program) == 0) {
+        facts.emplace(alt.program,
+                      build_facts(*alt.program, *pipeline.registers, prec));
+      }
+      for (const Instruction& ins : alt.program->code) {
+        if (ins.op == Op::kStoreField) {
+          run.written_fields.set(static_cast<std::size_t>(ins.field));
+        }
+      }
+    }
+  }
+
+  State& s = run.before;
+  s.regs.assign(arrays, PrecVal{});
+  Stepper stepper{&pipeline, &options, &popts, &facts, {}, {}};
+  Emitter silent;
+
+  run.target = std::max<std::uint64_t>(1, options.max_observations);
+  const std::uint64_t target = run.target;
+  std::uint64_t& iter = run.observations;
+  // Two accelerated histories per array: value high bound and error bound.
+  std::vector<AccelHistory> hist_hi(arrays);
+  std::vector<AccelHistory> hist_err(arrays);
+
+  const auto exact_steps = [&](std::uint64_t until) {
+    while (iter < until) {
+      State next = stepper.step(s, silent);
+      ++iter;
+      ++run.steps;
+      for (std::size_t r = 0; r < arrays; ++r) {
+        accel_push(hist_hi[r], next.regs[r].iv.hi);
+        accel_push(hist_err[r], next.regs[r].err);
+      }
+      if (same(next, s, gate)) {
+        run.fixpoint = true;
+        return;
+      }
+      s = std::move(next);
+    }
+  };
+
+  exact_steps(std::min<std::uint64_t>(target, options.warmup_iterations));
+
+  if (!run.fixpoint && iter < target) {
+    bool all_poly = true;
+    std::vector<std::array<U128, 4>> fits(arrays, {0, 0, 0, 0});
+    for (std::size_t r = 0; r < arrays && all_poly; ++r) {
+      auto& f = fits[r];
+      if (hist_hi[r][kAccelWindow - 1] != hist_hi[r][0]) {
+        all_poly = poly_fit(hist_hi[r], &f[0], &f[1]);
+      }
+      if (gate == Gate::kValueAndError && all_poly &&
+          hist_err[r][kAccelWindow - 1] != hist_err[r][0]) {
+        all_poly = poly_fit(hist_err[r], &f[2], &f[3]);
+      }
+    }
+    if (all_poly && iter >= kAccelWindow) {
+      const U128 remaining = target - iter;
+      for (std::size_t r = 0; r < arrays; ++r) {
+        s.regs[r].iv.hi =
+            poly_jump(s.regs[r].iv.hi, fits[r][0], fits[r][1], remaining);
+        s.regs[r].err = e_clamp(
+            poly_jump(s.regs[r].err, fits[r][2], fits[r][3], remaining));
+      }
+      iter = target;
+      run.extrapolated = true;
+      // Settle: propagate the jumped accumulators into derived registers.
+      for (int settle = 0; settle < 4 && !run.fixpoint; ++settle) {
+        State next = stepper.step(s, silent);
+        ++run.steps;
+        if (same(next, s, gate)) run.fixpoint = true;
+        s = std::move(next);
+      }
+    } else {
+      // Irregular growth: keep iterating exactly, then admit the gap.
+      exact_steps(
+          std::min<std::uint64_t>(target, options.max_exact_iterations));
+      if (!run.fixpoint && iter < target) {
+        run.exact = iter;
+        State probe = stepper.step(s, silent);
+        ++run.steps;
+        for (std::size_t r = 0; r < arrays; ++r) {
+          if (!same(probe.regs[r], s.regs[r], gate)) {
+            run.unproven.push_back(r);
+            const unsigned w =
+                pipeline.registers->info(static_cast<p4sim::RegisterId>(r))
+                    .width_bits;
+            probe.regs[r].iv = join(probe.regs[r].iv, Interval::width(w));
+            probe.regs[r].err = err_ring_half(w);
+          }
+        }
+        s = std::move(probe);
+        iter = target;
+        for (int settle = 0; settle < 2; ++settle) {
+          s = stepper.step(s, silent);
+          ++run.steps;
+        }
+      }
+    }
+  }
+
+  // Report step: re-run every alternative from the final state so each
+  // witness range reflects the configured observation count.
+  Emitter em;
+  em.engine = ovf;
+  em.scope = run.fixpoint
+                 ? "(holds for any packet count)"
+                 : "within " + std::to_string(target) + " observations";
+  run.after = stepper.step(s, em, &run.fields);
+  ++run.steps;
+  return run;
+}
+
 }  // namespace
+
+unsigned field_bits(FieldRef f) noexcept {
+  switch (f) {
+    case FieldRef::kEthType: return 16;
+    case FieldRef::kIpv4Src:
+    case FieldRef::kIpv4Dst: return 32;
+    case FieldRef::kIpv4Proto:
+    case FieldRef::kIpv4Ttl: return 8;
+    case FieldRef::kTcpSrcPort:
+    case FieldRef::kTcpDstPort: return 16;
+    case FieldRef::kTcpFlags: return 8;
+    case FieldRef::kUdpSrcPort:
+    case FieldRef::kUdpDstPort: return 16;
+    case FieldRef::kIpv4Valid:
+    case FieldRef::kTcpValid:
+    case FieldRef::kUdpValid:
+    case FieldRef::kEchoValid: return 1;
+    case FieldRef::kEchoValue:
+    case FieldRef::kEchoN:
+    case FieldRef::kEchoXsum:
+    case FieldRef::kEchoXsumsq:
+    case FieldRef::kEchoVar:
+    case FieldRef::kEchoSd: return 64;
+    // The three departures from p4sim::field_info are documented at the
+    // declaration (pipeline_model.hpp).
+    case FieldRef::kMetaIngressPort: return 16;
+    case FieldRef::kMetaIngressTs: return 64;
+    case FieldRef::kMetaPacketLength: return 16;
+    case FieldRef::kMetaEgressSpec: return 32;
+  }
+  return 64;
+}
 
 double ErrorBound::relative() const noexcept {
   if (err_q32 == 0) return 0.0;
@@ -532,131 +836,55 @@ std::string err_q32_str(U128 err_q32) {
 
 std::string err_q32_raw_str(U128 err_q32) { return u128_str(err_q32); }
 
+void run_overflow_pass(const AbstractPipeline& pipeline,
+                       const AnalysisOptions& options,
+                       AnalysisResult& result) {
+  const Run run = run_engine(pipeline, options, PrecisionOptions{},
+                             Gate::kValue, &result.diags, nullptr);
+  const p4sim::RegisterFile& rf = *pipeline.registers;
+  for (const std::size_t r : run.unproven) {
+    const std::string& name =
+        rf.info(static_cast<p4sim::RegisterId>(r)).name;
+    result.diags.report(
+        "S4-OVF-005", Severity::kWarning,
+        "register '" + name + "' growth did not stabilize within " +
+            std::to_string(run.exact) + " exact iterations and is not "
+            "polynomial; its bound at " + std::to_string(run.target) +
+            " observations is assumed, not proven",
+        SourceLoc{pipeline.name, -1, name});
+  }
+
+  result.iterations = run.observations;
+  result.fixpoint = run.fixpoint;
+  result.extrapolated = run.extrapolated;
+  for (std::size_t r = 0; r < run.before.regs.size(); ++r) {
+    const auto& info = rf.info(static_cast<p4sim::RegisterId>(r));
+    const Interval& iv = run.before.regs[r].iv;
+    RegisterBound rb;
+    rb.name = info.name;
+    rb.width_bits = info.width_bits;
+    rb.lo = clamp_u64(iv.lo);
+    rb.hi = clamp_u64(iv.hi);
+    rb.exceeds_width = !iv.fits(info.width_bits);
+    result.register_bounds.push_back(std::move(rb));
+  }
+}
+
 PrecisionResult run_precision_pass(const AbstractPipeline& pipeline,
                                    const AnalysisOptions& options,
                                    const PrecisionOptions& popts) {
   PrecisionResult result;
-  const std::size_t arrays = pipeline.registers->array_count();
-
-  // Per-program facts: possible-bits + validated spans (S4-PREC-004).
-  std::map<const Program*, PrecFacts> facts;
-  std::bitset<p4sim::kFieldCount> written_fields;
-  for (const auto& stage : pipeline.stages) {
-    for (const auto& alt : stage) {
-      if (facts.count(alt.program) == 0) {
-        facts.emplace(alt.program,
-                      build_facts(*alt.program, *pipeline.registers,
-                                  &result.diags));
-      }
-      for (const Instruction& ins : alt.program->code) {
-        if (ins.op == Op::kStoreField) {
-          written_fields.set(static_cast<std::size_t>(ins.field));
-        }
-      }
-    }
-  }
-
-  State s;
-  s.regs.assign(arrays, PrecVal{});
-  Stepper stepper{&pipeline, &options, &popts, &facts, {}, {}};
-
-  const std::uint64_t target =
-      std::max<std::uint64_t>(1, options.max_observations);
-  // Two accelerated histories per array: value high bound and error bound.
-  std::vector<AccelHistory> hist_hi(arrays);
-  std::vector<AccelHistory> hist_err(arrays);
-  for (auto& h : hist_hi) h.fill(0);
-  for (auto& h : hist_err) h.fill(0);
-
-  std::uint64_t iter = 0;   // observations covered (jumps count in full)
-  std::uint64_t steps = 0;  // abstract packets actually executed
-  bool fixpoint = false;
-  bool extrapolated = false;
-  std::vector<std::size_t> unproven;
-
-  const auto exact_steps = [&](std::uint64_t until) {
-    while (iter < until) {
-      State next = stepper.step(s);
-      ++iter;
-      ++steps;
-      for (std::size_t r = 0; r < arrays; ++r) {
-        accel_push(hist_hi[r], next.regs[r].iv.hi);
-        accel_push(hist_err[r], next.regs[r].err);
-      }
-      if (next == s) {
-        fixpoint = true;
-        return;
-      }
-      s = std::move(next);
-    }
-  };
-
-  exact_steps(std::min<std::uint64_t>(target, options.warmup_iterations));
-
-  if (!fixpoint && iter < target) {
-    bool all_poly = true;
-    std::vector<std::array<U128, 4>> fits(arrays, {0, 0, 0, 0});
-    for (std::size_t r = 0; r < arrays && all_poly; ++r) {
-      auto& f = fits[r];
-      if (hist_hi[r][kAccelWindow - 1] != hist_hi[r][0]) {
-        all_poly = poly_fit(hist_hi[r], &f[0], &f[1]);
-      }
-      if (all_poly && hist_err[r][kAccelWindow - 1] != hist_err[r][0]) {
-        all_poly = poly_fit(hist_err[r], &f[2], &f[3]);
-      }
-    }
-    if (all_poly && iter >= kAccelWindow) {
-      const U128 remaining = target - iter;
-      for (std::size_t r = 0; r < arrays; ++r) {
-        s.regs[r].iv.hi =
-            poly_jump(s.regs[r].iv.hi, fits[r][0], fits[r][1], remaining);
-        s.regs[r].err = e_clamp(
-            poly_jump(s.regs[r].err, fits[r][2], fits[r][3], remaining));
-      }
-      iter = target;
-      extrapolated = true;
-      for (int settle = 0; settle < 4 && !fixpoint; ++settle) {
-        State next = stepper.step(s);
-        ++steps;
-        if (next == s) fixpoint = true;
-        s = std::move(next);
-      }
-    } else {
-      exact_steps(
-          std::min<std::uint64_t>(target, options.max_exact_iterations));
-      if (!fixpoint && iter < target) {
-        State probe = stepper.step(s);
-        ++steps;
-        for (std::size_t r = 0; r < arrays; ++r) {
-          if (!(probe.regs[r] == s.regs[r])) {
-            unproven.push_back(r);
-            const unsigned w =
-                pipeline.registers->info(static_cast<p4sim::RegisterId>(r))
-                    .width_bits;
-            probe.regs[r].iv = join(probe.regs[r].iv, Interval::width(w));
-            probe.regs[r].err = err_ring_half(w);
-          }
-        }
-        s = std::move(probe);
-        iter = target;
-        for (int settle = 0; settle < 2; ++settle) {
-          s = stepper.step(s);
-          ++steps;
-        }
-      }
-    }
-  }
-
-  // Final abstract packet: captures end-of-pipeline field state.
-  FieldState fields;
-  s = stepper.step(s, &fields);
-  ++steps;
+  const Run run = run_engine(pipeline, options, popts, Gate::kValueAndError,
+                             nullptr, &result.diags);
+  const State& s = run.after;
+  const FieldState& fields = run.fields;
+  const std::size_t arrays = s.regs.size();
 
   const std::string scope =
-      fixpoint ? "for any packet count"
-               : "within " + std::to_string(target) + " observations";
+      run.fixpoint ? "for any packet count"
+                   : "within " + std::to_string(run.target) + " observations";
 
-  std::set<std::size_t> assumed(unproven.begin(), unproven.end());
+  std::set<std::size_t> assumed(run.unproven.begin(), run.unproven.end());
   for (std::size_t r = 0; r < arrays; ++r) {
     const auto& info =
         pipeline.registers->info(static_cast<p4sim::RegisterId>(r));
@@ -671,7 +899,7 @@ PrecisionResult run_precision_pass(const AbstractPipeline& pipeline,
       result.diags.report(
           "S4-PREC-002", Severity::kWarning,
           "register '" + eb.name + "' error growth did not stabilize and is "
-              "not polynomial; its error bound at " + std::to_string(target) +
+              "not polynomial; its error bound at " + std::to_string(run.target) +
               " observations is assumed at the vacuous half-ring, not proven",
           SourceLoc{pipeline.name, -1, eb.name});
     }
@@ -694,7 +922,7 @@ PrecisionResult run_precision_pass(const AbstractPipeline& pipeline,
   }
 
   for (std::size_t f = 0; f < p4sim::kFieldCount; ++f) {
-    if (!written_fields.test(f)) continue;
+    if (!run.written_fields.test(f)) continue;
     const auto field = static_cast<FieldRef>(f);
     const unsigned w = field_bits(field);
     ErrorBound eb;
@@ -721,9 +949,9 @@ PrecisionResult run_precision_pass(const AbstractPipeline& pipeline,
     result.field_bounds.push_back(std::move(eb));
   }
 
-  result.iterations = steps;
-  result.fixpoint = fixpoint;
-  result.extrapolated = extrapolated;
+  result.iterations = run.steps;
+  result.fixpoint = run.fixpoint;
+  result.extrapolated = run.extrapolated;
   result.diags.sort();
   return result;
 }

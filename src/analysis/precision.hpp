@@ -1,14 +1,35 @@
-// Error-bound abstract interpretation: how WRONG can an output be?
+// The one abstract interpreter behind the verifier's value-range proofs and
+// the error-bound proofs: how LARGE can a value get, and how WRONG?
 //
-// The overflow pass (overflow.hpp) proves values FIT; this pass proves they
-// are CLOSE to the computation the program approximates.  Every abstract
-// value carries, next to its implemented-value interval, a proven bound on
-// the distance between the implemented integer and the *ideal* real-valued
-// computation — the same instruction sequence with exact arithmetic on the
-// data path (shr as true division, approx-helper spans as their real
-// functions) while control flow, table/register indexing, hashing and
-// masking follow the implementation ("mixed semantics", the standard way to
-// give a floating-point-style error meaning to an integer kernel).
+// Every abstract value is a product: an implemented-value interval
+// (interval.hpp; ideal 128-bit integers, so a 64-bit wrap is visible) and a
+// proven bound on the distance between the implemented integer and the
+// *ideal* real-valued computation — the same instruction sequence with exact
+// arithmetic on the data path (shr as true division, approx-helper spans as
+// their real functions) while control flow, table/register indexing, hashing
+// and masking follow the implementation ("mixed semantics", the standard way
+// to give a floating-point-style error meaning to an integer kernel).
+//
+// One transfer function, one stepper and one fixpoint driver produce both
+// reports.  The driver iterates one abstract packet at a time with monotone
+// joins; a FIXPOINT proves the bounds for any packet count.  Otherwise,
+// after `warmup_iterations`, histories that grow with a constant second
+// difference (the shape of Xsum (linear) and Xsumsq (quadratic)
+// accumulators) are jumped in closed form to `max_observations`; irregular
+// growth falls back to exact iteration up to `max_exact_iterations`, after
+// which the still-moving register arrays are widened to their full width
+// (value) and half-ring (error) and reported as assumed, not proven.  One
+// final report step re-runs every alternative from the final state.
+//
+// The two callers differ in one input: which histories gate fixpoint
+// detection, acceleration and widening.  run_overflow_pass (verifier.hpp)
+// gates on value histories and reports S4-OVF-001..005 from the report
+// step; run_precision_pass gates on value AND error histories and reports
+// S4-PREC-001..004.  The interval transfer never reads the error, so
+// value-only gating reproduces the value trajectory exactly: irregular
+// error growth cannot degrade a value verdict.  The verifier reads register
+// bounds from the state entering the report step, precision from the state
+// after it (one packet later).
 //
 // The error metric is the distance on the ring R/2^64*Z (and R/2^w*Z at
 // every width-w register/field store): wrapping adds and subs translate the
@@ -28,12 +49,7 @@
 // arithmetic, so sub-unit contributions (truncation terms, declared
 // fractional error) accumulate without rounding to zero or overflowing.
 //
-// The fixpoint engine mirrors the overflow pass: one abstract packet per
-// iteration, monotone joins, polynomial (degree <= 2) acceleration of both
-// the value and the error histories to the observation budget, and a
-// widen-to-vacuous fallback (S4-PREC-002) when growth is irregular.
-//
-// Every bound this pass proves is empirically falsifiable: the
+// Every error bound is empirically falsifiable: the
 // precision_differential_test replays random streams against a long-double
 // oracle implementing the mixed semantics and asserts measured <= proven.
 #pragma once
@@ -44,7 +60,7 @@
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/interval.hpp"
-#include "analysis/overflow.hpp"
+#include "analysis/pipeline_model.hpp"
 #include "analysis/verifier.hpp"
 #include "p4sim/switch.hpp"
 #include "sketch/sizing.hpp"
@@ -98,13 +114,21 @@ struct PrecisionResult {
   DiagnosticEngine diags;
   std::vector<ErrorBound> register_bounds;  ///< one per register array
   std::vector<ErrorBound> field_bounds;     ///< fields the pipeline writes
-  std::size_t iterations = 0;
+  std::size_t iterations = 0;  ///< abstract packets executed
   bool fixpoint = false;
   bool extrapolated = false;
   [[nodiscard]] bool ok() const noexcept { return !diags.has_errors(); }
 };
 
-/// Runs the pass over an abstract pipeline (fixture entry point).
+/// Value-range report: runs the engine gated on value histories; fills
+/// result.register_bounds / iterations / fixpoint / extrapolated and reports
+/// S4-OVF-* diagnostics into result.diags.  verify_program/verify_switch
+/// call it when AnalysisOptions::run_overflow is set.
+void run_overflow_pass(const AbstractPipeline& pipeline,
+                       const AnalysisOptions& options, AnalysisResult& result);
+
+/// Error-bound report: runs the engine gated on value and error histories
+/// (fixture entry point).
 [[nodiscard]] PrecisionResult run_precision_pass(
     const AbstractPipeline& pipeline, const AnalysisOptions& options,
     const PrecisionOptions& popts = {});

@@ -5,8 +5,8 @@
 
 #include "analysis/constraints.hpp"
 #include "analysis/hazards.hpp"
-#include "analysis/overflow.hpp"
 #include "analysis/pipeline_model.hpp"
+#include "analysis/precision.hpp"
 #include "p4gen/emitter.hpp"
 
 namespace analysis {

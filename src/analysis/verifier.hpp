@@ -3,9 +3,11 @@
 // The verifier runs three IR-level passes over a p4sim program or a fully
 // configured switch, all reporting into one DiagnosticEngine:
 //
-//   overflow    — interval/value-range propagation (overflow.hpp): proves or
-//                 refutes, with a concrete witness range, that every register
-//                 and field write fits its declared width for the configured
+//   overflow    — the value-range report of the one abstract interpreter
+//                 (precision.hpp, run_overflow_pass; the precision report
+//                 comes from the same engine): proves or refutes, with a
+//                 concrete witness range, that every register and field
+//                 write fits its declared width for the configured
 //                 observation count and field bounds;
 //   hazards     — register access conflicts (hazards.hpp): multi-address
 //                 access, RMW splits, cross-stage sharing;
@@ -106,7 +108,8 @@ struct RegisterBound {
 struct AnalysisResult {
   DiagnosticEngine diags;
   std::vector<RegisterBound> register_bounds;
-  std::size_t iterations = 0;      ///< abstract packet iterations executed
+  std::size_t iterations = 0;      ///< observations covered (a jump counts
+                                   ///< in full; JSON "iterations")
   bool fixpoint = false;           ///< state stabilized before the budget
   bool extrapolated = false;       ///< polynomial acceleration was applied
   [[nodiscard]] bool ok() const noexcept { return !diags.has_errors(); }

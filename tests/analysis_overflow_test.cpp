@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/analysis.hpp"
 #include "p4sim/p4sim.hpp"
@@ -233,6 +236,95 @@ TEST(OverflowPass, UnprovableSubtractionIsANoteNotAnError) {
   const AnalysisResult r = analysis::verify_program(b.take(), regs, {});
   EXPECT_TRUE(has_rule(r, "S4-OVF-004"));
   EXPECT_TRUE(r.ok()) << "a wrap note must not fail the lint gate";
+}
+
+// ---- irregular growth --------------------------------------------------------
+
+/// A += tcp.flags >> 1; B += A; C = (C + B) & mask.  A grows linearly and B
+/// quadratically; C grows cubically until the mask caps it, which no
+/// degree<=2 fit extrapolates.
+Program cubic_chain(std::uint64_t mask) {
+  ProgramBuilder b("fixture_cubic");
+  const auto idx = b.konst(0);
+  const auto a = b.add(b.load_reg(0, idx),
+                       b.shr(b.load_field(FieldRef::kTcpFlags), b.konst(1)));
+  b.store_reg(0, idx, a);
+  const auto bb = b.add(b.load_reg(1, idx), a);
+  b.store_reg(1, idx, bb);
+  b.store_reg(2, idx, b.band(b.add(b.load_reg(2, idx), bb), b.konst(mask)));
+  return b.take();
+}
+
+RegisterFile cubic_registers() {
+  RegisterFile regs;
+  regs.declare("A", 1, 64);
+  regs.declare("B", 1, 64);
+  regs.declare("C", 1, 64);
+  return regs;
+}
+
+TEST(OverflowPass, IrregularGrowthReportsExactIterationsRun) {
+  // With a 48-bit mask C is still growing cubically after the exact
+  // iteration cap, so no register has settled: S4-OVF-005 must name the
+  // iterations actually run, not the observation budget the bound is
+  // assumed for.
+  const RegisterFile regs = cubic_registers();
+  const AnalysisResult r = analysis::verify_program(
+      cubic_chain((std::uint64_t{1} << 48) - 1), regs, {});
+  std::vector<std::string> messages;
+  for (const auto& d : r.diags.diagnostics()) {
+    if (d.rule == "S4-OVF-005") messages.push_back(d.message);
+  }
+  // A and B are still growing too when the cap is reached.
+  ASSERT_EQ(messages.size(), 3u);
+  EXPECT_EQ(messages[0],
+            "register 'A' growth did not stabilize within 4096 exact "
+            "iterations and is not polynomial; its bound at 1048576 "
+            "observations is assumed, not proven");
+  for (const std::string& m : messages) {
+    EXPECT_NE(m.find("within 4096 exact iterations"), std::string::npos) << m;
+  }
+  EXPECT_EQ(r.iterations, std::size_t{1} << 20);  // observations covered
+}
+
+TEST(OverflowPass, ErrorGrowthCannotDegradeValueVerdict) {
+  // With a 25-bit mask C's VALUE caps inside the warmup window, so the
+  // value histories are polynomial and the verifier extrapolates.  C's
+  // ERROR keeps growing cubically past the warmup, so the precision pass
+  // (which also gates on error histories) must iterate exactly and widen.
+  // One engine serves both reports: the verifier's verdict must not pay
+  // for the error domain's irregular growth.
+  const RegisterFile regs = cubic_registers();
+  const Program program = cubic_chain((std::uint64_t{1} << 25) - 1);
+  const AnalysisResult v = analysis::verify_program(program, regs, {});
+  EXPECT_TRUE(v.extrapolated);
+  EXPECT_FALSE(has_rule(v, "S4-OVF-005"));
+  ASSERT_EQ(v.register_bounds.size(), 3u);
+  EXPECT_EQ(v.register_bounds[0].hi, 133169660u);
+  EXPECT_EQ(v.register_bounds[1].hi, 69819587626230u);
+  EXPECT_EQ(v.register_bounds[2].hi, 33554431u);
+
+  analysis::AbstractPipeline pipe;
+  pipe.name = program.name;
+  pipe.registers = &regs;
+  pipe.stages.push_back({analysis::StageAlternative{&program, {}}});
+  const analysis::PrecisionResult p =
+      analysis::run_precision_pass(pipe, AnalysisOptions{});
+  EXPECT_FALSE(p.extrapolated);
+  EXPECT_EQ(p.iterations, 4100u);
+  std::vector<std::pair<std::string, std::string>> findings;
+  for (const auto& d : p.diags.diagnostics()) {
+    findings.emplace_back(d.rule, d.loc.object);
+  }
+  EXPECT_EQ(findings, (std::vector<std::pair<std::string, std::string>>{
+                          {"S4-PREC-001", "A"},
+                          {"S4-PREC-001", "B"},
+                          {"S4-PREC-002", "A"},
+                          {"S4-PREC-002", "B"},
+                          {"S4-PREC-003", "C"}}));
+  ASSERT_EQ(p.register_bounds.size(), 3u);
+  EXPECT_EQ(analysis::err_q32_str(p.register_bounds[2].err_q32),
+            "16777216.00");
 }
 
 // ---- the shipped echo application ------------------------------------------
